@@ -433,11 +433,10 @@ func BenchmarkRefine(b *testing.B) {
 	}
 }
 
-// BenchmarkStreamPipelined compares the sequential, pipelined, and
-// speculative shard schedules on the streaming engine's n=20k d=0.5 shard
-// sweep: wall time, tracked host peak (two footprints in flight under
-// pipelining), and the overlap the schedule achieved (CI publishes it as
-// BENCH_pipeline.json). The coloring is asserted proper on the first
+// BenchmarkStreamPipelined compares the sequential and pipelined shard
+// schedules on the streaming engine's n=20k d=0.5 shard sweep: wall time,
+// tracked host peak (two footprints in flight under pipelining), and the
+// overlap the schedule achieved (CI publishes it as BENCH_pipeline.json). The coloring is asserted proper on the first
 // iteration of every variant; the pipelined variant is additionally
 // bit-identical to sequential per seed (TestStreamPipelinedAcceptance).
 func BenchmarkStreamPipelined(b *testing.B) {
@@ -463,7 +462,6 @@ func BenchmarkStreamPipelined(b *testing.B) {
 				b.ReportMetric(float64(res.NumColors), "colors")
 				b.ReportMetric(res.OverlapRatio, "overlap")
 				b.ReportMetric(float64(res.PipelinedShards), "pipelined-shards")
-				b.ReportMetric(float64(res.SpeculativeConflicts), "spec-conflicts")
 			}
 		}
 	}
@@ -473,7 +471,6 @@ func BenchmarkStreamPipelined(b *testing.B) {
 	}{
 		{"seq", func(*picasso.Options) {}},
 		{"pipe", func(o *picasso.Options) { o.PipelineShards = true }},
-		{"spec", func(o *picasso.Options) { o.Speculate = 3 }},
 	}
 	for _, shard := range []int{2500, 5000, 10000} {
 		for _, v := range variants {

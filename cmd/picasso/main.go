@@ -31,8 +31,9 @@
 //	picasso -strings paulis.txt -artifact-dir ./artifacts   (skips the parse)
 //
 // The same job description is accepted by the picasso-serve HTTP service
-// (cmd/picasso-serve); both front ends share internal/jobspec, and both
-// read and write the same artifact store.
+// (cmd/picasso-serve). Both front ends share internal/jobspec — the spec,
+// its validation, and jobspec.Run, the one dispatch over one-shot, stream,
+// portfolio and refine — and both read and write the same artifact store.
 package main
 
 import (
@@ -73,8 +74,7 @@ func main() {
 		shard    = flag.Int("shard", 0, "streaming shard size (0 = derive from -budget; implies -stream)")
 		budget   = flag.String("budget", "", "host-memory budget, e.g. 512MiB or 2GB (implies -stream)")
 		pipeline = flag.Bool("pipeline", false, "overlap each shard's build with its predecessor's coloring (implies -stream)")
-		specul   = flag.Int("speculate", 0, "color this many shards concurrently with cross-shard repair (>=2; implies -stream)")
-		raceN    = flag.Int("race-entrants", 0, "race this many entrant configurations (seed/strategy/shard/schedule variants) and keep the fewest-color winner (>=2; implies -stream)")
+		raceN    = flag.Int("race-entrants", 0, "race this many entrant configurations (seed/strategy/shard/pipeline variants) and keep the fewest-color winner (>=2; implies -stream)")
 		deadline = flag.String("deadline", "", "wall-clock limit on the run, e.g. 90s or 5m (empty = none)")
 		refine   = flag.Bool("refine", false, "run the palette-refinement pass after coloring (claw back colors)")
 		refineR  = flag.Int("refine-rounds", 0, "max refinement rounds (0 = engine default; implies -refine)")
@@ -88,23 +88,22 @@ func main() {
 	flag.Parse()
 
 	spec := jobspec.Spec{
-		Random:    *random,
-		Instance:  *molecule,
-		Variant:   *variant,
-		Target:    *target,
-		Mode:      *mode,
-		PFrac:     *pfrac,
-		Alpha:     *alpha,
-		Strategy:  *strategy,
-		Backend:   *backendF,
-		Seed:      *seed,
-		Workers:   *workers,
-		Stream:    *stream,
-		Shard:     *shard,
-		Budget:    *budget,
-		Pipeline:  *pipeline,
-		Speculate: *specul,
-		Deadline:  *deadline,
+		Random:   *random,
+		Instance: *molecule,
+		Variant:  *variant,
+		Target:   *target,
+		Mode:     *mode,
+		PFrac:    *pfrac,
+		Alpha:    *alpha,
+		Strategy: *strategy,
+		Backend:  *backendF,
+		Seed:     *seed,
+		Workers:  *workers,
+		Stream:   *stream,
+		Shard:    *shard,
+		Budget:   *budget,
+		Pipeline: *pipeline,
+		Deadline: *deadline,
 	}
 	if *mode != jobspec.ModeCustom {
 		spec.PFrac, spec.Alpha = 0, 0
@@ -225,41 +224,18 @@ func main() {
 		defer cancel()
 	}
 
+	// One dispatch with the service: portfolio, stream or one-shot, then
+	// the refine block's pass — every phase under the deadline. Portfolio
+	// runs refine their winner inside the race.
 	t0 := time.Now()
-	var res *picasso.Result
-	var pres *picasso.PortfolioResult
-	switch {
-	case spec.PortfolioEntrants() >= 2:
-		popts := picasso.PortfolioOptions{Entrants: spec.PortfolioEntrants()}
-		if ropts, ok := spec.RefineOptions(); ok {
-			popts.Refine = ropts
-			popts.RefineBudgetBytes = spec.RefineBudgetBytes()
-		} else {
-			popts.NoRefine = true
-		}
-		if set != nil {
-			pres, err = picasso.PortfolioPauli(ctx, set, opts, popts)
-		} else {
-			pres, err = picasso.Portfolio(ctx, oracle, opts, popts)
-		}
-		if pres != nil {
-			res = pres.Result
-		}
-	case set != nil && spec.Streamed():
-		res, err = picasso.StreamPauli(ctx, set, opts)
-	case set != nil:
-		res, err = picasso.ColorPauliContext(ctx, set, opts)
-	case spec.Streamed():
-		res, err = picasso.Stream(ctx, oracle, opts)
-	default:
-		res, err = picasso.ColorContext(ctx, oracle, opts)
-	}
+	out, err := jobspec.Run(ctx, spec, oracle, set, opts, nil)
 	if err != nil {
 		if errors.Is(err, context.DeadlineExceeded) {
 			fatal("coloring failed: deadline %s exceeded", spec.Deadline)
 		}
 		fatal("coloring failed: %v", err)
 	}
+	res, pres, rst := out.Result, out.Portfolio, out.Refine
 	elapsed := time.Since(t0)
 
 	n := len(res.Colors)
@@ -277,10 +253,6 @@ func main() {
 		if res.PipelinedShards > 0 {
 			fmt.Printf("pipelined: %d shards overlapped, %.0f%% of build time hidden\n",
 				res.PipelinedShards, 100*res.OverlapRatio)
-		}
-		if spec.Speculate >= 2 {
-			fmt.Printf("speculated: %d lanes, %d cross-shard conflicts repaired (%d recolored in palette, %.0f%% of lane time hidden)\n",
-				spec.Speculate, res.SpeculativeConflicts, res.RepairRecolors, 100*res.OverlapRatio)
 		}
 	}
 	if b := spec.BudgetBytes(); b > 0 {
@@ -317,31 +289,6 @@ func main() {
 		}
 	}
 
-	// The palette-refinement pass claws colors back from the finished
-	// coloring: verification and group output below run on the refined
-	// result. Portfolio runs already refined their winner inside the race.
-	finalColors := res.Colors
-	var rst *picasso.RefineStats
-	switch {
-	case pres != nil:
-		finalColors = pres.FinalColors()
-		rst = pres.Refine
-	default:
-		if ropts, ok := spec.RefineOptions(); ok {
-			if b := spec.RefineBudgetBytes(); b > 0 {
-				opts.MemoryBudgetBytes = b
-			}
-			if set != nil {
-				rst, err = picasso.RefinePauli(context.Background(), set, res.Colors, opts, ropts)
-			} else {
-				rst, err = picasso.Refine(context.Background(), oracle, res.Colors, opts, ropts)
-			}
-			if err != nil {
-				fatal("refinement failed: %v", err)
-			}
-			finalColors = rst.Colors
-		}
-	}
 	if rst != nil {
 		fmt.Printf("refined: %d -> %d colors (-%.1f%%) in %d rounds, %d/%d moved vertices recolored (%v, peak %.2f MB)\n",
 			rst.ColorsBefore, rst.ColorsAfter,
@@ -359,9 +306,9 @@ func main() {
 	if *verify {
 		var err error
 		if set != nil {
-			err = picasso.VerifyGrouping(set, finalColors)
+			err = picasso.VerifyGrouping(set, out.Colors)
 		} else {
-			err = picasso.Verify(oracle, finalColors)
+			err = picasso.Verify(oracle, out.Colors)
 		}
 		if err != nil {
 			fatal("VERIFICATION FAILED: %v", err)
@@ -370,12 +317,12 @@ func main() {
 	}
 
 	if *groupsF != "" && set != nil {
-		writeGroups(*groupsF, set, finalColors)
+		writeGroups(*groupsF, set, out.Colors)
 		fmt.Printf("groups written to %s\n", *groupsF)
 	}
 
 	if store != nil {
-		persistRun(store, spec, set, finalColors, lastCheckpoint)
+		persistRun(store, spec, set, out.Colors, lastCheckpoint)
 	}
 }
 

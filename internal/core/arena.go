@@ -54,10 +54,6 @@ type Arena struct {
 	moved     []int32
 	savedCol  []int32
 	stuckSeen []bool
-
-	// Speculation-only buffer (speculate.go): the cross-shard repair's
-	// loser worklist.
-	specLosers []int32
 }
 
 // NewArena returns an empty arena; buffers grow on first use.
@@ -134,13 +130,6 @@ func (a *Arena) fixedBufs() ([]int32, []int32) {
 func (a *Arena) retainFixed(ids, colors []int32) {
 	a.fixedIDs, a.fixedColors = ids, colors
 }
-
-// losersBuf returns the emptied speculative-repair loser worklist; callers
-// append and hand the grown slice back via retainLosers.
-func (a *Arena) losersBuf() []int32 { return a.specLosers[:0] }
-
-// retainLosers stores the grown worklist backing.
-func (a *Arena) retainLosers(buf []int32) { a.specLosers = buf }
 
 // directFailedBuf returns the emptied direct-failure worklist; callers
 // append and hand the slice back via retainDirectFailed.

@@ -77,7 +77,7 @@ func TestColorDeterministicAcrossBackends(t *testing.T) {
 func TestBackendSelectorValidation(t *testing.T) {
 	o := graph.RandomOracle{N: 30, P: 0.5, Seed: 1}
 	bad := Normal(1)
-	bad.Backend = "warp-speculative"
+	bad.Backend = "warp-drive"
 	if _, err := Color(o, bad); err == nil {
 		t.Error("unknown backend name accepted")
 	}

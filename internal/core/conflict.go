@@ -100,36 +100,6 @@ func (c crossOracle) HasCross(i int, fixed []int32, out []bool) {
 	}
 }
 
-// shiftCrossOracle is crossOracle for a dense local range [base, base+m):
-// local id i is global id base+i, with no mapping table. The speculative
-// repair's collision scan tests one lane's contiguous vertices against the
-// colors finalized before the lane, so the identity-plus-offset shape is
-// all it needs.
-type shiftCrossOracle struct {
-	o    graph.Oracle
-	row  graph.RowOracle // non-nil when o batches rows
-	base int
-}
-
-func newShiftCrossOracle(o graph.Oracle, base int) shiftCrossOracle {
-	co := shiftCrossOracle{o: o, base: base}
-	if ro, ok := o.(graph.RowOracle); ok {
-		co.row = ro
-	}
-	return co
-}
-
-func (c shiftCrossOracle) HasCross(i int, fixed []int32, out []bool) {
-	u := c.base + i
-	if c.row != nil {
-		c.row.HasEdgeRow(u, fixed, out)
-		return
-	}
-	for k, f := range fixed {
-		out[k] = c.o.HasEdge(u, int(f))
-	}
-}
-
 // Len returns the active-vertex count m.
 func (e edgeOracle) Len() int {
 	if e.active == nil {
@@ -181,5 +151,4 @@ var (
 	_ backend.BatchEdgeOracle = edgeOracle{}
 	_ backend.DeviceSizer     = edgeOracle{}
 	_ backend.CrossOracle     = crossOracle{}
-	_ backend.CrossOracle     = shiftCrossOracle{}
 )

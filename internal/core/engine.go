@@ -260,7 +260,7 @@ type prepared struct {
 }
 
 // release drops every live charge a prepared iteration still holds; used on
-// error paths and when a speculative build is discarded.
+// error paths and when a pipelined prebuild is discarded.
 func (p *prepared) release() {
 	p.releaseMask()
 	p.releaseList()

@@ -17,11 +17,10 @@ import (
 
 // classBalance tracks the live size of every global color class during one
 // engine unit. It is rebuilt at unit start from the frozen frontier
-// [0, fixedEnd) — the only colors a unit may read; in speculative execution
-// each lane keeps its own instance, so lanes never observe each other —
-// and incremented at pick time, never in setColor: finishIter copies the
-// conflict colorer's assignments through setColor after the colorer already
-// counted them, so counting there would double. The table is O(colors
+// [0, fixedEnd) — the only colors a unit may read — and incremented at
+// pick time, never in setColor: finishIter copies the conflict colorer's
+// assignments through setColor after the colorer already counted them, so
+// counting there would double. The table is O(colors
 // used) and deliberately outside the memory tracker, like the RNG and the
 // per-iteration stats.
 type classBalance struct {

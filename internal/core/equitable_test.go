@@ -54,19 +54,6 @@ func TestEquitableStream(t *testing.T) {
 	}
 }
 
-func TestEquitableSpeculativeStream(t *testing.T) {
-	o := planted(300, 5)
-	opts := Normal(13)
-	opts.Variant = VariantEquitable
-	opts.ShardSize = 48
-	opts.Speculate = 3
-	res, err := Stream(context.Background(), o, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkEquitable(t, o, res.Colors)
-}
-
 func TestEquitableRefine(t *testing.T) {
 	o := planted(300, 6)
 	opts := Normal(17)

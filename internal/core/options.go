@@ -57,18 +57,15 @@
 // An iteration splits at a second seam: prepareIter runs the
 // frontier-independent half (assign + conflict build + the fixed pass over
 // a frozen prefix) and finishIter the frontier-dependent rest (the delta
-// fixed pass, coloring, compaction). Stream exploits it two ways, each on
-// per-lane resources (arena, conflict builder, child memtrack of the run's
-// root — the root's peak covers the lanes combined). Options.PipelineShards
-// prepares shard k+1 while shard k colors (pipeline.go): bit-identical to
-// the sequential stream for a fixed ShardSize, since forbid marks only
-// accumulate and shard randomness is (Seed, start)-keyed. Options.Speculate
-// colors S shards concurrently against the same frozen frontier and then
-// repairs cross-shard collisions canonically (speculate.go): proper and
-// deterministic per seed, not bit-identical. Both degrade to the
-// sequential loop when the budget cannot hold the combined footprints,
-// keep every published checkpoint resumable, and cancel at the same stage
-// boundaries.
+// fixed pass, coloring, compaction). Options.PipelineShards exploits it on
+// a second lane's resources (arena, conflict builder, child memtrack of the
+// run's root — the root's peak covers both lanes combined): shard k+1
+// prepares while shard k colors (pipeline.go), bit-identical to the
+// sequential stream for a fixed ShardSize, since forbid marks only
+// accumulate and shard randomness is (Seed, start)-keyed. The pipeline
+// degrades to the sequential loop when the budget cannot hold two
+// footprints, keeps every published checkpoint resumable, and cancels at
+// the same stage boundaries.
 package core
 
 import (
@@ -214,20 +211,6 @@ type Options struct {
 	// by one-shot Color, and by runs that inject an explicit Builder (a
 	// single builder instance cannot serve two arenas).
 	PipelineShards bool
-	// Speculate, when ≥ 2, colors up to that many streamed shards
-	// concurrently against the same frozen frontier, then repairs
-	// cross-shard collisions: lane by lane (canonical ascending order),
-	// colliding vertices are detected with the batched fixed-bucket scan
-	// and recolored against the frozen remainder by the refinement
-	// machinery. The result is proper and deterministic per seed, but —
-	// unlike PipelineShards — not bit-identical to the sequential stream
-	// (later lanes cannot see earlier lanes' colors while coloring).
-	// Checkpoints land only at fully repaired group boundaries. 0 and 1
-	// disable; takes precedence over PipelineShards. The budget governor
-	// reduces the lane count (down to sequential) when MemoryBudgetBytes
-	// cannot fit that many worst-case shards. Requires an oracle that is
-	// safe for concurrent readers (every built-in oracle is).
-	Speculate int
 
 	// multiDevices distributes conflict-graph construction across a device
 	// group (set via ColorMultiDevice; the paper's multi-GPU future work).
@@ -243,8 +226,8 @@ type Options struct {
 	pruneBound int32
 	// builderInjected remembers that the caller supplied Builder explicitly
 	// (set by validate): a single injected instance is bound to one arena,
-	// so concurrent stream lanes cannot be derived from it and pipelining /
-	// speculation fall back to sequential execution.
+	// so a second stream lane cannot be derived from it and pipelining
+	// falls back to sequential execution.
 	builderInjected bool
 }
 
@@ -296,9 +279,6 @@ func (o *Options) validate() error {
 	if o.MemoryBudgetBytes < 0 {
 		return fmt.Errorf("core: negative memory budget %d", o.MemoryBudgetBytes)
 	}
-	if o.Speculate < 0 {
-		return fmt.Errorf("core: negative speculation width %d", o.Speculate)
-	}
 	if o.MemoryBudgetBytes > 0 && o.Tracker == nil {
 		// A budget without a meter is unenforceable: give the run a private
 		// tracker so shard sizing and Result.BudgetExceeded work anyway.
@@ -324,16 +304,12 @@ func (o *Options) validate() error {
 }
 
 // streamLanes reports how many stream units the options allow in flight at
-// once: Speculate lanes, 2 for pipelining, 1 otherwise. An injected Builder
-// forces 1 — it is bound to a single arena and cannot be cloned for a
-// second lane. The budget governor may reduce the answer further
-// (streamRun).
+// once: 2 for pipelining, 1 otherwise. An injected Builder forces 1 — it is
+// bound to a single arena and cannot be cloned for a second lane. The
+// budget governor may reduce the answer further (streamRun).
 func (o *Options) streamLanes() int {
 	if o.builderInjected {
 		return 1
-	}
-	if o.Speculate >= 2 {
-		return o.Speculate
 	}
 	if o.PipelineShards {
 		return 2

@@ -66,12 +66,6 @@ type Result struct {
 	// concurrent coloring in a pipelined run (0 when not pipelined): 1.0
 	// means every build finished before its adopter asked for it.
 	OverlapRatio float64
-	// SpeculativeConflicts counts vertices that lost a cross-shard collision
-	// between speculatively colored shards and were sent to repair.
-	SpeculativeConflicts int
-	// RepairRecolors counts the losers the repair pass recolored below the
-	// group ceiling (the rest were finished with fresh singleton colors).
-	RepairRecolors int
 	// Fallback reports that MaxIterations was hit and the remaining
 	// vertices were finished with fresh singleton colors.
 	Fallback bool

@@ -1,5 +1,5 @@
 // Portfolio racing: run N entrant configurations of the same coloring job —
-// varying seed, list-coloring strategy, shard size, and pipeline/speculate
+// varying seed, list-coloring strategy, shard size, and sequential/pipelined
 // schedule — and keep the best coloring. The engine is deterministic per
 // seed, so every entrant's coloring is a pure function of its Options; the
 // race only decides how much wall-clock the portfolio spends, never which
@@ -174,7 +174,6 @@ type EntrantStats struct {
 	Strategy  ListStrategy
 	ShardSize int // 0 = budget-derived
 	Pipeline  bool
-	Speculate int
 
 	Colors           int   // final color count (0 when cancelled)
 	Shards           int   // completed stream units
@@ -235,9 +234,9 @@ func (p *PortfolioResult) FinalNumColors() int {
 // Entrant 0 is the base itself — the phase-A baseline, bit-identical to the
 // single run the spec would otherwise have made. Later entrants perturb the
 // seed and rotate through the list-coloring strategies, shard sizes (halved
-// every other entrant when the base fixes one), and the pipeline/speculate
-// schedules, purely as a function of the index — the same spec always races
-// the same field.
+// every other entrant when the base fixes one), and the sequential/pipelined
+// schedules (every third entrant pipelines), purely as a function of the
+// index — the same spec always races the same field.
 func DefaultVariants(base Options, n int) []Options {
 	strategies := [...]ListStrategy{
 		DynamicBuckets, DynamicBuckets, StaticLargest, DynamicBuckets,
@@ -255,12 +254,6 @@ func DefaultVariants(base Options, n int) []Options {
 			}
 		}
 		v.PipelineShards = i%3 == 2
-		if i%5 == 4 {
-			v.Speculate = 2
-			v.PipelineShards = false
-		} else {
-			v.Speculate = 0
-		}
 		out[i] = v
 	}
 	return out
@@ -276,10 +269,7 @@ func entrantName(v *Options) string {
 	if v.ShardSize > 0 {
 		name += fmt.Sprintf(" shard=%d", v.ShardSize)
 	}
-	switch {
-	case v.Speculate >= 2:
-		name += fmt.Sprintf(" spec=%d", v.Speculate)
-	case v.PipelineShards:
+	if v.PipelineShards {
 		name += " pipe"
 	}
 	return name
@@ -341,7 +331,7 @@ func Portfolio(ctx context.Context, o graph.Oracle, opts Options, popts Portfoli
 		v := &variants[i]
 		stats[i] = EntrantStats{
 			Index: i, Name: entrantName(v), Seed: v.Seed, Strategy: v.Strategy,
-			ShardSize: v.ShardSize, Pipeline: v.PipelineShards, Speculate: v.Speculate,
+			ShardSize: v.ShardSize, Pipeline: v.PipelineShards,
 		}
 	}
 

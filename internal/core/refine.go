@@ -329,19 +329,10 @@ func RefineStream(ctx context.Context, o graph.Oracle, opts Options, ropts Refin
 // vertex ids (any subset of [0, n), ascending). Round randomness derives
 // from (Seed, n + round), disjoint from the shard seed domain [0, n), so
 // refinement is deterministic and independent of any earlier streamed run
-// on the same seed.
+// on the same seed. The unit spans the whole graph — the frontier filter
+// walks every still-colored vertex — while the active set, and with it the
+// unit's live memory, is the moved set alone.
 func (e *engine) initRefineUnit(ids []int32, round int) {
-	e.initRecolorUnit(ids, e.n+round)
-}
-
-// initRecolorUnit arms the engine for one fixed-remainder recolor unit over
-// an arbitrary ascending vertex subset, with unit randomness derived from
-// (Seed, key). The unit spans the whole graph — the frontier filter walks
-// every still-colored vertex — while the active set, and with it the unit's
-// live memory, is the given set alone. Callers partition the key space:
-// refinement rounds use n+round, speculative conflict repair 2n+groupStart —
-// all disjoint from the shard domain [0, n).
-func (e *engine) initRecolorUnit(ids []int32, key int) {
 	e.start, e.end = 0, e.n
 	e.active = e.ar.activeBuf(len(ids))
 	copy(e.active, ids)
@@ -350,7 +341,7 @@ func (e *engine) initRecolorUnit(ids []int32, key int) {
 	e.base = 0
 	e.iter = 0
 	e.bal = e.newBalance()
-	e.rng = newUnitRNG(e.opts.Seed, key)
+	e.rng = newUnitRNG(e.opts.Seed, e.n+round)
 }
 
 // renumberBySize remaps the engine's coloring to dense ids [0, C) ordered

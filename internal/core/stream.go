@@ -146,10 +146,10 @@ func streamRun(ctx context.Context, o graph.Oracle, opts *Options, prev graph.Co
 		shard = st.Shard
 	}
 	// The concurrency governor: how many shard units may hold iteration
-	// memory at once. Pipelining needs two in-flight footprints, speculation
-	// S of them; under a budget the lane count shrinks until the combined
-	// worst case fits the headroom, degrading all the way to the sequential
-	// loop rather than letting MemoryBudgetBytes go quietly dishonest.
+	// memory at once. Pipelining needs two in-flight footprints; under a
+	// budget the lane count shrinks until the combined worst case fits the
+	// headroom, degrading to the sequential loop rather than letting
+	// MemoryBudgetBytes go quietly dishonest.
 	lanes := 1
 	if want := opts.streamLanes(); want > 1 {
 		lanes = want
@@ -174,9 +174,6 @@ func streamRun(ctx context.Context, o graph.Oracle, opts *Options, prev graph.Co
 	}
 	e.shard = shard
 	if lanes > 1 {
-		if opts.Speculate >= 2 {
-			return e.streamSpeculative(baseline, lanes)
-		}
 		return e.streamPipelined(baseline)
 	}
 
@@ -236,9 +233,9 @@ func shardFootprint(opts *Options, o graph.Oracle, n, B int) int64 {
 // autoShard derives the initial shard size from the budget headroom: the
 // largest B in [minShard, remaining] whose worst-case footprint fits lanes
 // concurrent copies of (lanes is 1 for the sequential loop, 2 for the
-// pipelined stream, S for speculation — each in-flight unit holds a full
-// iteration footprint). Without a budget it falls back to the knob-free
-// default. When even the minimum shard does not fit, it returns minShard
+// pipelined stream — each in-flight unit holds a full iteration
+// footprint). Without a budget it falls back to the knob-free default.
+// When even the minimum shard does not fit, it returns minShard
 // anyway — the run degrades (and reports BudgetExceeded) instead of
 // refusing.
 func autoShard(opts *Options, o graph.Oracle, n, remaining int, baseline int64, lanes int) int {

@@ -89,69 +89,6 @@ func TestStreamPipelinedBitIdenticalEveryBackend(t *testing.T) {
 	}
 }
 
-func TestStreamSpeculativeProperDeterministicEveryBackend(t *testing.T) {
-	// Speculation is not bit-identical to the sequential stream (later
-	// lanes cannot see earlier lanes while coloring) but must be proper,
-	// deterministic per seed, and inside the budget. ShardSize 600 over
-	// n=3000 with S=3 makes two groups (3 lanes, then 2), exercising the
-	// partial-group path; the repair stats must be coherent.
-	o := graph.RandomOracle{N: 3000, P: 0.5, Seed: 41}
-	for name, opts := range streamBackendOptions(7, 600) {
-		spec := opts
-		spec.Speculate = 3
-		var tr memtrack.Tracker
-		spec.Tracker = &tr
-		spec.MemoryBudgetBytes = 64 << 20
-		res, err := Stream(context.Background(), o, spec)
-		if err != nil {
-			t.Fatalf("%s: speculative: %v", name, err)
-		}
-		if err := graph.VerifyOracle(o, res.Colors); err != nil {
-			t.Fatalf("%s: speculative coloring not proper: %v", name, err)
-		}
-		if res.Shards != 5 {
-			t.Errorf("%s: %d shards for 3000/600", name, res.Shards)
-		}
-		if res.RepairRecolors > res.SpeculativeConflicts {
-			t.Errorf("%s: %d repair recolors out of %d conflicts",
-				name, res.RepairRecolors, res.SpeculativeConflicts)
-		}
-		if tr.Peak() > spec.MemoryBudgetBytes {
-			t.Errorf("%s: tracked peak %d over budget %d", name, tr.Peak(), spec.MemoryBudgetBytes)
-		}
-		if tr.Current() != 0 {
-			t.Errorf("%s: %d tracked bytes leaked across the speculative run", name, tr.Current())
-		}
-
-		again, err := Stream(context.Background(), o, spec)
-		if err != nil {
-			t.Fatalf("%s: second speculative run: %v", name, err)
-		}
-		for v := range res.Colors {
-			if again.Colors[v] != res.Colors[v] {
-				t.Fatalf("%s: speculative run not deterministic at vertex %d", name, v)
-			}
-		}
-		if again.SpeculativeConflicts != res.SpeculativeConflicts {
-			t.Errorf("%s: conflict count not deterministic: %d vs %d",
-				name, again.SpeculativeConflicts, res.SpeculativeConflicts)
-		}
-	}
-
-	// A group with a single-shard tail (5 shards, S=2: groups 2+2+1) runs
-	// the tail as a plain sequential unit and must stay proper.
-	tail := Normal(7)
-	tail.ShardSize = 600
-	tail.Speculate = 2
-	res, err := Stream(context.Background(), o, tail)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := graph.VerifyOracle(o, res.Colors); err != nil {
-		t.Fatalf("tail-group coloring not proper: %v", err)
-	}
-}
-
 func TestStreamPipelinedCheckpointResume(t *testing.T) {
 	// Every pipelined shard boundary checkpoints exactly like the
 	// sequential loop's, even with the successor's prebuild still in
@@ -195,91 +132,41 @@ func TestStreamPipelinedCheckpointResume(t *testing.T) {
 	}
 }
 
-func TestStreamSpeculativeCheckpointResume(t *testing.T) {
-	// Speculative checkpoints land only at fully repaired group
-	// boundaries; each must be resumable and a resume must reproduce the
-	// uninterrupted run exactly (group composition derives from ShardSize
-	// and the cursor, not run history).
-	o := graph.RandomOracle{N: 3000, P: 0.5, Seed: 13}
-	opts := Normal(3)
-	opts.ShardSize = 600
-	opts.Speculate = 3
-
-	var states []RunState
-	full := opts
-	full.Checkpoint = func(st RunState) {
-		if !st.Resumable() {
-			t.Fatalf("speculative checkpoint at shard %d not resumable", st.Shards)
-		}
-		states = append(states, st)
-	}
-	want, err := Stream(context.Background(), o, full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 5 shards in groups of 3+2: one checkpoint per group.
-	if len(states) != 2 {
-		t.Fatalf("%d group checkpoints, want 2", len(states))
-	}
-	if states[0].Shards != 3 || states[0].NextStart != 1800 {
-		t.Fatalf("first group boundary at shard %d / vertex %d, want 3 / 1800",
-			states[0].Shards, states[0].NextStart)
-	}
-
-	got, err := ResumeStream(context.Background(), o, opts, &states[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := range want.Colors {
-		if got.Colors[v] != want.Colors[v] {
-			t.Fatalf("speculative resume differs at vertex %d", v)
-		}
-	}
-	if got.Shards != want.Shards {
-		t.Fatalf("resumed run reports %d shards, want %d", got.Shards, want.Shards)
-	}
-}
-
 func TestStreamPipelinedCancellation(t *testing.T) {
 	// Cancellation at every new boundary: pre-cancelled runs do nothing;
 	// a cancel delivered at a shard boundary stops before the next shard
 	// colors and the in-flight prebuild is drained with its tracker
 	// charges fully released (no leak, even on the error path).
 	o := graph.RandomOracle{N: 4000, P: 0.5, Seed: 99}
-	for mode, set := range map[string]func(*Options){
-		"pipelined":   func(o *Options) { o.PipelineShards = true },
-		"speculative": func(o *Options) { o.Speculate = 3 },
-	} {
-		opts := Normal(1)
-		opts.ShardSize = 500
-		set(&opts)
+	opts := Normal(1)
+	opts.ShardSize = 500
+	opts.PipelineShards = true
 
-		ctx, cancel := context.WithCancel(context.Background())
-		cancel()
-		if _, err := Stream(ctx, o, opts); err != context.Canceled {
-			t.Fatalf("%s: pre-cancelled stream returned %v", mode, err)
-		}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := Stream(ctx, o, opts); err != context.Canceled {
+		t.Fatalf("pre-cancelled stream returned %v", err)
+	}
 
-		var tr memtrack.Tracker
-		opts.Tracker = &tr
-		ctx2, cancel2 := context.WithCancel(context.Background())
-		boundaries := 0
-		opts.Checkpoint = func(st RunState) {
-			boundaries++
-			if boundaries == 2 {
-				cancel2()
-			}
+	var tr memtrack.Tracker
+	opts.Tracker = &tr
+	ctx2, cancel2 := context.WithCancel(context.Background())
+	defer cancel2()
+	boundaries := 0
+	opts.Checkpoint = func(st RunState) {
+		boundaries++
+		if boundaries == 2 {
+			cancel2()
 		}
-		if _, err := Stream(ctx2, o, opts); err != context.Canceled {
-			t.Fatalf("%s: boundary-cancelled stream returned %v", mode, err)
-		}
-		if boundaries != 2 {
-			t.Fatalf("%s: run continued for %d boundaries after cancellation", mode, boundaries)
-		}
-		if tr.Current() != 0 {
-			t.Fatalf("%s: %d tracked bytes leaked on the cancellation path", mode, tr.Current())
-		}
-		cancel2()
+	}
+	if _, err := Stream(ctx2, o, opts); err != context.Canceled {
+		t.Fatalf("boundary-cancelled stream returned %v", err)
+	}
+	if boundaries != 2 {
+		t.Fatalf("run continued for %d boundaries after cancellation", boundaries)
+	}
+	if tr.Current() != 0 {
+		t.Fatalf("%d tracked bytes leaked on the cancellation path", tr.Current())
 	}
 }
 
@@ -328,29 +215,23 @@ func TestStreamPipelinedAutoShardBudget(t *testing.T) {
 	// proper and any budget crossing must be reported, never silent —
 	// the combined two-lane footprint is what the budget governs.
 	o := graph.RandomOracle{N: 4000, P: 0.5, Seed: 5}
-	for mode, set := range map[string]func(*Options){
-		"pipelined":   func(o *Options) { o.PipelineShards = true },
-		"speculative": func(o *Options) { o.Speculate = 3 },
-	} {
-		opts := Normal(3)
-		set(&opts)
-		var tr memtrack.Tracker
-		opts.Tracker = &tr
-		opts.MemoryBudgetBytes = 8 << 20
-		res, err := Stream(context.Background(), o, opts)
-		if err != nil {
-			t.Fatalf("%s: %v", mode, err)
-		}
-		if err := graph.VerifyOracle(o, res.Colors); err != nil {
-			t.Fatalf("%s: coloring not proper: %v", mode, err)
-		}
-		if tr.Peak() > opts.MemoryBudgetBytes && !res.BudgetExceeded {
-			t.Errorf("%s: peak %d over budget %d but not reported",
-				mode, tr.Peak(), opts.MemoryBudgetBytes)
-		}
-		if tr.Current() != 0 {
-			t.Errorf("%s: %d tracked bytes leaked", mode, tr.Current())
-		}
+	opts := Normal(3)
+	opts.PipelineShards = true
+	var tr memtrack.Tracker
+	opts.Tracker = &tr
+	opts.MemoryBudgetBytes = 8 << 20
+	res, err := Stream(context.Background(), o, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := graph.VerifyOracle(o, res.Colors); err != nil {
+		t.Fatalf("coloring not proper: %v", err)
+	}
+	if tr.Peak() > opts.MemoryBudgetBytes && !res.BudgetExceeded {
+		t.Errorf("peak %d over budget %d but not reported", tr.Peak(), opts.MemoryBudgetBytes)
+	}
+	if tr.Current() != 0 {
+		t.Errorf("%d tracked bytes leaked", tr.Current())
 	}
 }
 

@@ -212,39 +212,12 @@ func TestSpecStreamKnobs(t *testing.T) {
 }
 
 func TestSpecConcurrencyKnobs(t *testing.T) {
-	// Pipeline and speculate imply streaming and land in the engine options.
+	// Pipeline implies streaming and lands in the engine options.
 	p := Spec{Random: "1000:0.5", Seed: 1, Pipeline: true}
 	if err := p.Normalize(); err != nil {
 		t.Fatal(err)
 	}
 	if !p.Streamed() || !p.Options().PipelineShards {
 		t.Error("pipeline knob not propagated")
-	}
-
-	s := Spec{Random: "1000:0.5", Seed: 1, Speculate: 3}
-	if err := s.Normalize(); err != nil {
-		t.Fatal(err)
-	}
-	if !s.Streamed() || s.Options().Speculate != 3 {
-		t.Error("speculate knob not propagated")
-	}
-
-	// One lane is the sequential stream: canonicalized to the zero value,
-	// so "speculate": 1 and an unset knob are the same job.
-	one := Spec{Random: "1000:0.5", Seed: 1, Speculate: 1, Shard: 250}
-	base := Spec{Random: "1000:0.5", Seed: 1, Shard: 250}
-	if err := one.Normalize(); err != nil {
-		t.Fatal(err)
-	}
-	if err := base.Normalize(); err != nil {
-		t.Fatal(err)
-	}
-	if one.Canonical() != base.Canonical() {
-		t.Errorf("speculate=1 canonicalizes differently: %s vs %s", one.Canonical(), base.Canonical())
-	}
-
-	neg := Spec{Random: "1000:0.5", Seed: 1, Speculate: -2}
-	if err := neg.Normalize(); err == nil {
-		t.Error("negative speculate accepted")
 	}
 }

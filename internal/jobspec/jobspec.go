@@ -4,9 +4,9 @@
 // name), which coloring variant, and which algorithm parameters. The
 // picasso CLI builds a Spec from flags, the coloring service decodes one
 // from a JSON request body, and both feed it through the same Normalize /
-// Options / BuildInput path — so a job means exactly the same thing whether
-// it arrives on argv or over HTTP, and the service can key its result cache
-// on the canonical form.
+// Options / BuildInput / Run path — so a job means exactly the same thing
+// whether it arrives on argv or over HTTP, and the service can key its
+// result cache on the canonical form.
 //
 // The canonical form (Canonical) is load-bearing well beyond this package:
 // it is the dedup key of the service's in-memory job table, the input to
@@ -112,13 +112,8 @@ type Spec struct {
 	// bit-identical to the sequential stream for a fixed Shard). Implies
 	// Stream.
 	Pipeline bool `json:"pipeline,omitempty"`
-	// Speculate colors this many streamed shards concurrently against the
-	// same frozen frontier and repairs cross-shard collisions afterwards
-	// (proper and deterministic per seed, not bit-identical). Values
-	// below 2 mean off. Implies Stream.
-	Speculate int `json:"speculate,omitempty"`
 	// Portfolio, when non-nil, races entrant configurations of the job —
-	// varying seed, strategy, shard size, and pipeline/speculate schedule —
+	// varying seed, strategy, shard size, and sequential/pipelined schedule —
 	// against a shared best-so-far color bound and keeps the deterministic
 	// winner (see picasso.Portfolio). Implies Stream. A single-entrant block
 	// is the plain run and is canonicalized away.
@@ -295,12 +290,6 @@ func (s *Spec) Normalize() error {
 	} else {
 		s.Budget = ""
 	}
-	if s.Speculate < 0 {
-		return fmt.Errorf("jobspec: negative speculate %d", s.Speculate)
-	}
-	if s.Speculate == 1 {
-		s.Speculate = 0 // one lane is the sequential stream: canonical "off"
-	}
 	if s.Portfolio != nil {
 		p, err := s.Portfolio.Normalize()
 		if err != nil {
@@ -308,7 +297,7 @@ func (s *Spec) Normalize() error {
 		}
 		s.Portfolio = p
 	}
-	if s.Shard > 0 || s.Budget != "" || s.Pipeline || s.Speculate >= 2 || s.Portfolio != nil {
+	if s.Shard > 0 || s.Budget != "" || s.Pipeline || s.Portfolio != nil {
 		s.Stream = true // shard/budget/concurrency/racing knobs imply the streaming engine
 	}
 	if s.Refine != nil {
@@ -450,7 +439,6 @@ func (s Spec) Options() picasso.Options {
 	opts.ShardSize = s.Shard
 	opts.MemoryBudgetBytes = s.BudgetBytes()
 	opts.PipelineShards = s.Pipeline
-	opts.Speculate = s.Speculate
 	opts.Variant = picasso.Variant(s.Variant)
 	return opts
 }

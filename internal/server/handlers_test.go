@@ -166,6 +166,7 @@ func TestSubmitRejections(t *testing.T) {
 	}{
 		{"bad json", `{`, http.StatusBadRequest, "decoding"},
 		{"unknown field", `{"radnom":"100:0.5"}`, http.StatusBadRequest, "unknown field"},
+		{"removed schedule knob", `{"random":"100:0.5","shard":50,"speculate":3}`, http.StatusBadRequest, "unknown field"},
 		{"no input", `{}`, http.StatusBadRequest, "no input"},
 		{"bad random", `{"random":"100"}`, http.StatusBadRequest, "n:density"},
 		{"unknown instance", `{"instance":"H6 3D sto3h"}`, http.StatusBadRequest, "did you mean"},

@@ -60,8 +60,6 @@ type ResultSummary struct {
 	Shards             int     `json:"shards,omitempty"`
 	PipelinedShards    int     `json:"pipelined_shards,omitempty"`
 	OverlapRatio       float64 `json:"overlap_ratio,omitempty"`
-	SpecConflicts      int     `json:"speculative_conflicts,omitempty"`
-	RepairRecolors     int     `json:"repair_recolors,omitempty"`
 	PeakBytes          int64   `json:"peak_bytes,omitempty"`
 	BudgetExceeded     bool    `json:"budget_exceeded,omitempty"`
 	ColorsBefore       int     `json:"colors_before,omitempty"`

@@ -9,6 +9,7 @@ import (
 	"picasso"
 	"picasso/internal/backend"
 	"picasso/internal/faultpoint"
+	"picasso/internal/jobspec"
 	"picasso/internal/journal"
 )
 
@@ -149,10 +150,11 @@ func (s *Server) attempt(job *Job, arena *picasso.Arena, attempt int) (sum *Resu
 // color materializes the job's input and runs the coloring, streaming
 // per-iteration statistics into the job's progress view. The coloring draws
 // all iteration-scoped buffers from the worker's arena and observes the
-// job's cancellation context at every engine stage boundary. Specs that
-// asked to stream run on the partitioned engine; append jobs extend their
-// parent's frozen grouping. The returned set is the materialized Pauli
-// input (nil for oracle jobs) so run can persist it alongside the result.
+// job's cancellation context at every engine stage boundary. Plain jobs go
+// through jobspec.Run, the dispatch the CLI shares; append and refine child
+// jobs extend or refine their parent's frozen grouping. The returned set is
+// the materialized Pauli input (nil for oracle jobs) so run can persist it
+// alongside the result.
 func (s *Server) color(job *Job, arena *picasso.Arena) (*ResultSummary, [][]int, *picasso.PauliSet, error) {
 	opts := job.Spec.Options()
 	if opts.Backend == "" {
@@ -161,15 +163,10 @@ func (s *Server) color(job *Job, arena *picasso.Arena) (*ResultSummary, [][]int,
 	if opts.MemoryBudgetBytes == 0 && s.cfg.DefaultBudgetBytes > 0 {
 		opts.MemoryBudgetBytes = s.cfg.DefaultBudgetBytes
 	}
-	// Serve-level concurrency defaults apply only to streamed jobs whose
-	// spec left both knobs unset — an explicit spec always wins, and
-	// one-shot jobs have no shards to overlap.
-	if job.Spec.Streamed() && !opts.PipelineShards && opts.Speculate == 0 {
-		if s.cfg.DefaultSpeculate >= 2 {
-			opts.Speculate = s.cfg.DefaultSpeculate
-		} else if s.cfg.DefaultPipeline {
-			opts.PipelineShards = true
-		}
+	// The serve-level pipeline default applies only to streamed jobs — an
+	// explicit spec always wins, and one-shot jobs have no shards to overlap.
+	if job.Spec.Streamed() && s.cfg.DefaultPipeline {
+		opts.PipelineShards = true
 	}
 	opts.Arena = arena
 	opts.Progress = func(st picasso.IterStats) {
@@ -201,59 +198,36 @@ func (s *Server) color(job *Job, arena *picasso.Arena) (*ResultSummary, [][]int,
 		}
 	}
 
+	oracle, set, err := s.buildInput(job)
+	if err != nil {
+		return nil, nil, nil, err
+	}
 	if job.Append != nil {
-		return s.colorAppend(job, opts)
+		return s.colorAppend(job, opts, set)
 	}
 	if job.Refine != nil {
-		return s.colorRefine(job, opts)
+		return s.colorRefine(job, opts, oracle, set)
 	}
 
 	// A checkpoint from an earlier attempt (or the previous process) turns
 	// this streamed run into a resume: the already-colored prefix is
 	// restored instead of recolored.
+	spec := job.Spec
 	var resume *picasso.RunState
-	if job.Spec.Streamed() {
+	if spec.Streamed() {
 		s.mu.Lock()
 		resume = job.Resume
 		s.mu.Unlock()
 	}
-
-	oracle, set, err := s.buildInput(job)
-	if err != nil {
-		return nil, nil, nil, err
+	// The server's default entrants race streamed jobs that didn't ask. A
+	// resumable checkpoint wins over the default — portfolio runs never
+	// checkpoint, so one can only exist for a job that previously ran
+	// single-entrant.
+	if spec.Portfolio == nil && spec.Streamed() && s.cfg.DefaultEntrants >= 2 && resume == nil {
+		spec.Portfolio = &jobspec.PortfolioSpec{Entrants: s.cfg.DefaultEntrants}
 	}
 
-	// Portfolio dispatch: a spec portfolio block, or the server's default
-	// entrants for streamed jobs that didn't ask. A resumable checkpoint
-	// wins over a server-side default — portfolio runs never checkpoint, so
-	// one can only exist for a job that previously ran single-entrant.
-	entrants := job.Spec.PortfolioEntrants()
-	if entrants == 0 && job.Spec.Streamed() && s.cfg.DefaultEntrants >= 2 && resume == nil {
-		entrants = s.cfg.DefaultEntrants
-	}
-	if entrants >= 2 {
-		return s.colorPortfolio(job, opts, entrants, oracle, set)
-	}
-
-	var res *picasso.Result
-	switch {
-	case set != nil && job.Spec.Streamed():
-		if resume != nil {
-			res, err = picasso.ResumeStreamPauli(job.ctx, set, opts, resume)
-		} else {
-			res, err = picasso.StreamPauli(job.ctx, set, opts)
-		}
-	case set != nil:
-		res, err = picasso.ColorPauliContext(job.ctx, set, opts)
-	case job.Spec.Streamed():
-		if resume != nil {
-			res, err = picasso.ResumeStream(job.ctx, oracle, opts, resume)
-		} else {
-			res, err = picasso.Stream(job.ctx, oracle, opts)
-		}
-	default:
-		res, err = picasso.ColorContext(job.ctx, oracle, opts)
-	}
+	out, err := jobspec.Run(job.ctx, spec, oracle, set, opts, resume)
 	if err != nil {
 		// A checkpoint the engine rejects outright (corrupt, or stale
 		// against a changed spec) must not wedge the job: if the resumed
@@ -273,71 +247,31 @@ func (s *Server) color(job *Job, arena *picasso.Arena) (*ResultSummary, [][]int,
 		return nil, nil, nil, err
 	}
 
-	// Specs with a refine block run the palette-refinement pass in the same
-	// job: the first-pass coloring feeds Refine, and the published grouping
-	// is the compacted one.
-	if ropts, ok := job.Spec.RefineOptions(); ok {
-		// Override only when the spec names a refinement budget (its own or
-		// the job's): a spec with neither keeps the server's default per-job
-		// budget already wired into opts.
-		if b := job.Spec.RefineBudgetBytes(); b > 0 {
-			opts.MemoryBudgetBytes = b
-		}
-		var rst *picasso.RefineStats
-		if set != nil {
-			rst, err = picasso.RefinePauli(job.ctx, set, res.Colors, opts, ropts)
-		} else {
-			rst, err = picasso.Refine(job.ctx, oracle, res.Colors, opts, ropts)
-		}
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		groups := picasso.ColorGroups(rst.Colors)
-		sum := summarize(res, groups)
-		refineSummarize(sum, res.NumColors, rst)
-		return sum, groups, set, nil
+	// A refine block's pass ran in the same job: the published grouping is
+	// the compacted one. A portfolio race's summary describes the winning
+	// run (its peak covering all lanes combined), the nested block the race.
+	groups := picasso.ColorGroups(out.Colors)
+	sum := summarize(out.Result, groups)
+	if out.Refine != nil {
+		refineSummarize(sum, out.Result.NumColors, out.Refine)
 	}
-
-	groups := picasso.ColorGroups(res.Colors)
-	return summarize(res, groups), groups, set, nil
+	if out.Portfolio != nil {
+		sum.Portfolio = s.portfolioSummary(out.Portfolio)
+	}
+	return sum, groups, set, nil
 }
 
-// colorPortfolio races entrants configurations of the job and publishes the
-// deterministic winner, refined when the spec asked for it: the summary's
-// top-level fields describe the winning run (its peak covering all lanes
-// combined), the nested portfolio block the race. The winner's groups flow
-// into the normal persistence path, so a portfolio job's artifact is exactly
-// a single run's.
-func (s *Server) colorPortfolio(job *Job, opts picasso.Options, entrants int, oracle picasso.Oracle, set *picasso.PauliSet) (*ResultSummary, [][]int, *picasso.PauliSet, error) {
-	popts := picasso.PortfolioOptions{Entrants: entrants}
-	if ropts, ok := job.Spec.RefineOptions(); ok {
-		popts.Refine = ropts
-		popts.RefineBudgetBytes = job.Spec.RefineBudgetBytes()
-	} else {
-		popts.NoRefine = true
-	}
-	var pres *picasso.PortfolioResult
-	var err error
-	if set != nil {
-		pres, err = picasso.PortfolioPauli(job.ctx, set, opts, popts)
-	} else {
-		pres, err = picasso.Portfolio(job.ctx, oracle, opts, popts)
-	}
-	if err != nil {
-		return nil, nil, nil, err
-	}
-
+// portfolioSummary digests a finished race for the status endpoint and
+// folds it into the server's portfolio counters. The winner's groups flow
+// into the normal persistence path, so a portfolio job's artifact is
+// exactly a single run's.
+func (s *Server) portfolioSummary(pres *picasso.PortfolioResult) *PortfolioSummary {
 	s.mu.Lock()
 	s.stats.portfolioEntrants += int64(len(pres.Entrants))
 	s.stats.portfolioCancelled += int64(pres.CancelledEntrants)
 	s.stats.portfolioBoundPrunes += pres.BoundPrunes
 	s.mu.Unlock()
 
-	groups := picasso.ColorGroups(pres.FinalColors())
-	sum := summarize(pres.Result, groups)
-	if pres.Refine != nil {
-		refineSummarize(sum, pres.Result.NumColors, pres.Refine)
-	}
 	ps := &PortfolioSummary{
 		Entrants:     len(pres.Entrants),
 		Winner:       pres.Winner,
@@ -359,8 +293,7 @@ func (s *Server) colorPortfolio(job *Job, opts picasso.Options, entrants int, or
 			CancelledAtShard: e.CancelledAtShard,
 		})
 	}
-	sum.Portfolio = ps
-	return sum, groups, set, nil
+	return ps
 }
 
 // buildInput materializes a job's input, consulting the disk tier first: a
@@ -384,27 +317,19 @@ func (s *Server) buildInput(job *Job) (picasso.Oracle, *picasso.PauliSet, error)
 	return job.Spec.BuildInput()
 }
 
-// colorRefine rebuilds the parent's input (base spec plus any appended
+// colorRefine takes the parent's rebuilt input (base spec plus any appended
 // strings), replays the parent's frozen groups as the input coloring, and
 // runs the palette-refinement pass over it. The parent grouping was proper
 // by construction; refinement keeps it proper while shrinking the group
 // count, and the job's groups are the compacted partition.
-func (s *Server) colorRefine(job *Job, opts picasso.Options) (*ResultSummary, [][]int, *picasso.PauliSet, error) {
-	oracle, set, err := s.buildInput(job)
-	if err != nil {
-		return nil, nil, nil, err
-	}
+func (s *Server) colorRefine(job *Job, opts picasso.Options, oracle picasso.Oracle, set *picasso.PauliSet) (*ResultSummary, [][]int, *picasso.PauliSet, error) {
 	if set != nil {
 		if err := appendStringsToSet(set, job.Refine.Strings); err != nil {
 			return nil, nil, nil, err
 		}
 	}
-	n := 0
-	if set != nil {
-		n = set.Len()
-	} else {
-		n = oracle.NumVertices()
-	}
+	oracle = jobspec.InputOracle(oracle, set)
+	n := oracle.NumVertices()
 
 	// The parent groups must cover the rebuilt input exactly: refinement —
 	// unlike append — recolors only what already has a color.
@@ -424,12 +349,7 @@ func (s *Server) colorRefine(job *Job, opts picasso.Options) (*ResultSummary, []
 		opts.MemoryBudgetBytes = job.Refine.BudgetBytes
 	}
 	ropts := picasso.RefineOptions{Rounds: job.Refine.Rounds, TargetColors: job.Refine.TargetColors}
-	var rst *picasso.RefineStats
-	if set != nil {
-		rst, err = picasso.RefinePauli(job.ctx, set, prev, opts, ropts)
-	} else {
-		rst, err = picasso.Refine(job.ctx, oracle, prev, opts, ropts)
-	}
+	rst, err := picasso.Refine(job.ctx, oracle, prev, opts, ropts)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -494,16 +414,12 @@ func refineSummarize(sum *ResultSummary, colorsBefore int, rst *picasso.RefineSt
 	sum.BudgetExceeded = sum.BudgetExceeded || rst.BudgetExceeded
 }
 
-// colorAppend rebuilds the parent's base input, appends the job's full
+// colorAppend takes the parent's rebuilt base input, appends the job's full
 // string list (a chained append's parent strings first, then the new
 // ones), and extends the frozen grouping: every vertex the parent's groups
 // cover keeps its exact group, the rest are colored against them by the
 // streaming engine's fixed-color pass.
-func (s *Server) colorAppend(job *Job, opts picasso.Options) (*ResultSummary, [][]int, *picasso.PauliSet, error) {
-	_, set, err := s.buildInput(job)
-	if err != nil {
-		return nil, nil, nil, err
-	}
+func (s *Server) colorAppend(job *Job, opts picasso.Options, set *picasso.PauliSet) (*ResultSummary, [][]int, *picasso.PauliSet, error) {
 	if set == nil {
 		return nil, nil, nil, fmt.Errorf("append parent is not a Pauli job")
 	}
@@ -529,7 +445,7 @@ func (s *Server) colorAppend(job *Job, opts picasso.Options) (*ResultSummary, []
 		return nil, nil, nil, err
 	}
 
-	res, err := picasso.ExtendPauli(job.ctx, set, prev, opts)
+	res, err := picasso.Extend(job.ctx, picasso.CommutationOracle(set), prev, opts)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -551,8 +467,6 @@ func summarize(res *picasso.Result, groups [][]int) *ResultSummary {
 		Shards:             res.Shards,
 		PipelinedShards:    res.PipelinedShards,
 		OverlapRatio:       res.OverlapRatio,
-		SpecConflicts:      res.SpeculativeConflicts,
-		RepairRecolors:     res.RepairRecolors,
 		PeakBytes:          res.HostPeakBytes,
 		BudgetExceeded:     res.BudgetExceeded,
 		ResumedShards:      res.ResumedShards,

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"picasso"
 	"picasso/internal/faultpoint"
 	"picasso/internal/jobspec"
 	"picasso/internal/journal"
@@ -187,22 +188,60 @@ func TestQueuedJobRecovered(t *testing.T) {
 // a previous process had enqueued the job and crashed.
 func writeAcceptedRecord(t *testing.T, dir string, env jobEnvelope) {
 	t.Helper()
-	jnl, _, err := journal.Open(dir + "/" + journalFileName)
+	data, err := json.Marshal(env)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := json.Marshal(env)
+	writeAcceptedData(t, dir, JobID(env.Canonical), data)
+}
+
+// writeAcceptedData seeds a journal file with one accepted record carrying
+// a raw envelope payload.
+func writeAcceptedData(t *testing.T, dir, id string, data []byte) {
+	t.Helper()
+	jnl, _, err := journal.Open(dir + "/" + journalFileName)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := jnl.Append(journal.Record{
 		Time: time.Now().UTC().Format(time.RFC3339Nano),
-		ID:   JobID(env.Canonical), Event: journal.EventAccepted, Data: data,
+		ID:   id, Event: journal.EventAccepted, Data: data,
 	}); err != nil {
 		t.Fatal(err)
 	}
 	if err := jnl.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A journal written before the concurrent-lanes shard schedule was removed
+// can hold an accepted streamed job whose spec still carries that knob.
+// Envelope decoding is lenient, so the job recovers under its original id,
+// runs on the sequential stream, and publishes a proper coloring.
+func TestRemovedScheduleKnobRecovered(t *testing.T) {
+	dir := t.TempDir()
+	const canonical = `{"random":"400:0.5","mode":"normal","seed":6,"stream":true,"shard":100,"speculate":3}`
+	id := JobID(canonical)
+	writeAcceptedData(t, dir, id, []byte(`{"spec":`+canonical+`,"canonical":`+
+		strconv.Quote(canonical)+`,"submitted_at":"`+time.Now().UTC().Format(time.RFC3339Nano)+`"}`))
+
+	s, err := New(Config{Workers: 1, ArtifactDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if st := waitJob(t, s, id); st.State != StateDone {
+		t.Fatalf("legacy job state = %s (%s)", st.State, st.Error)
+	}
+	groups := jobGroups(t, s, id)
+	colors := make(picasso.Coloring, 400)
+	for gi, g := range groups {
+		for _, v := range g {
+			colors[v] = int32(gi)
+		}
+	}
+	if err := picasso.Verify(picasso.RandomGraph(400, 0.5, 6), colors); err != nil {
+		t.Fatalf("recovered coloring: %v", err)
 	}
 }
 

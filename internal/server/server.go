@@ -64,13 +64,9 @@ type Config struct {
 	// their result summary.
 	DefaultBudgetBytes int64
 	// DefaultPipeline overlaps shard builds with coloring for streamed jobs
-	// whose spec sets neither pipeline nor speculate; the coloring is
-	// unchanged (bit-identical for a fixed shard size), only wall-clock.
+	// whose spec does not set pipeline; the coloring is unchanged
+	// (bit-identical for a fixed shard size), only wall-clock.
 	DefaultPipeline bool
-	// DefaultSpeculate colors this many shards concurrently (with
-	// cross-shard repair) for streamed jobs whose spec sets neither knob;
-	// values below 2 mean off. Takes precedence over DefaultPipeline.
-	DefaultSpeculate int
 	// DefaultEntrants races every streamed job whose spec carries no
 	// portfolio block of its own as a portfolio of this many entrants
 	// (values below 2 mean off); an explicit spec always wins. Append and

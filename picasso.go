@@ -202,6 +202,12 @@ func ColorContext(ctx context.Context, o Oracle, opts Options) (*Result, error) 
 	return core.ColorContext(ctx, o, opts)
 }
 
+// CommutationOracle returns the commutation graph of a Pauli-string set as
+// an edge oracle: strings are adjacent iff they commute. Every oracle entry
+// point (Stream, ResumeStream, Extend, Refine, Portfolio) colors a Pauli
+// set through it; a proper coloring is the unitary grouping.
+func CommutationOracle(set *PauliSet) Oracle { return core.NewPauliOracle(set) }
+
 // ColorPauli colors the commutation graph of a Pauli-string set, yielding a
 // clique partition of the anticommutation graph: the unitary grouping.
 func ColorPauli(set *PauliSet, opts Options) (*Result, error) {
@@ -236,27 +242,10 @@ func Extend(ctx context.Context, o Oracle, prev Coloring, opts Options) (*Result
 	return core.Extend(ctx, o, prev, opts)
 }
 
-// ExtendPauli is Extend over a Pauli set that grew: strings [len(prev),
-// set.Len()) are grouped against the frozen grouping of the original
-// strings — newly arrived terms join existing unitary groups (or new ones)
-// while every old group assignment stays exactly as published.
-func ExtendPauli(ctx context.Context, set *PauliSet, prev Coloring, opts Options) (*Result, error) {
-	return core.Extend(ctx, core.NewPauliOracle(set), prev, opts)
-}
-
 // ResumeStream continues a streamed run from a shard-boundary RunState
 // captured by Options.Checkpoint, with the same oracle and Options.
 func ResumeStream(ctx context.Context, o Oracle, opts Options, st *RunState) (*Result, error) {
 	return core.ResumeStream(ctx, o, opts, st)
-}
-
-// ResumeStreamPauli is ResumeStream over a Pauli-string set's commutation
-// graph: the crash-recovery path for streamed grouping runs, continuing
-// from a persisted shard-boundary checkpoint instead of regrouping from
-// scratch. Result.ResumedShards reports how many shards the checkpoint
-// carried over.
-func ResumeStreamPauli(ctx context.Context, set *PauliSet, opts Options, st *RunState) (*Result, error) {
-	return core.ResumeStream(ctx, core.NewPauliOracle(set), opts, st)
 }
 
 // Refine improves a finished proper coloring by iteratively eliminating its
@@ -289,7 +278,7 @@ func RefineStream(ctx context.Context, o Oracle, opts Options, ropts RefineOptio
 
 // Portfolio races entrant configurations of one coloring job — by default
 // popts.Entrants variants of opts differing in seed, list-coloring strategy,
-// shard size, and pipeline/speculate schedule — concurrently, each on its own
+// shard size, and sequential/pipelined schedule — concurrently, each on its own
 // memory-metered lane, against a shared best-so-far color bound: entrant 0's
 // count is frozen into every racer as a prune ceiling on candidate colors,
 // and entrants that provably cannot beat the published best are cancelled at
@@ -300,28 +289,6 @@ func RefineStream(ctx context.Context, o Oracle, opts Options, ropts RefineOptio
 // lanes combined.
 func Portfolio(ctx context.Context, o Oracle, opts Options, popts PortfolioOptions) (*PortfolioResult, error) {
 	return core.Portfolio(ctx, o, opts, popts)
-}
-
-// PortfolioPauli is Portfolio over a Pauli-string set's commutation graph:
-// the racing equivalent of ColorPauli, returning the fewest unitary groups
-// any entrant found, refined.
-func PortfolioPauli(ctx context.Context, set *PauliSet, opts Options, popts PortfolioOptions) (*PortfolioResult, error) {
-	return core.Portfolio(ctx, core.NewPauliOracle(set), opts, popts)
-}
-
-// ColorStrings parses raw Pauli letter strings and colors their commutation
-// graph in one call — the submit-and-collect entry point the coloring
-// service uses for inline string payloads.
-func ColorStrings(strs []string, opts Options) (*PauliSet, *Result, error) {
-	set, err := ParsePauliStrings(strs)
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := ColorPauli(set, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	return set, res, nil
 }
 
 // ParsePauliStrings builds a set from letter strings such as "IXYZ". All
