@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"picasso/internal/par"
+	"slices"
 	"sort"
 	"testing"
 
@@ -170,7 +171,7 @@ func TestChunkedScanPreservesCOOOrder(t *testing.T) {
 	// The parallel builder's determinism rests on this: scanning rows in
 	// contiguous chunks and concatenating the per-chunk edge lists in chunk
 	// order must reproduce the sequential scan's raw COO byte-for-byte
-	// (row-major, bucket-discovery order within a row). Compared at the
+	// (row-major, ascending within a row). Compared at the
 	// kernel level — CSR conversion sorts adjacency and would mask order
 	// bugs.
 	const n = 300
@@ -311,6 +312,42 @@ func TestBucketsInvariants(t *testing.T) {
 	}
 	if pw := bk.PairWork(); wsum != pw {
 		t.Fatalf("row weights sum to %d, PairWork says %d", wsum, pw)
+	}
+}
+
+func TestCollectRowAscendingBothPaths(t *testing.T) {
+	// Dense rows emit by draining the seen-bitset, sparse ones by sorting;
+	// both must give every sharing upper partner once, ascending, and leave
+	// the bitset clear for the next row.
+	for _, c := range []struct {
+		name    string
+		n, P, L int
+	}{
+		{"dense", 300, 20, 4},
+		{"sparse", 4000, 6000, 3},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			lists := newTestLists(c.n, c.P, c.L, 9)
+			bk := NewBuckets(lists)
+			s := NewScratch(c.n)
+			for i := 0; i < c.n; i++ {
+				var want []int32
+				for j := i + 1; j < c.n; j++ {
+					if intersectSorted(lists.List(i), lists.List(j)) {
+						want = append(want, int32(j))
+					}
+				}
+				got := bk.CollectRow(lists, i, s)
+				if !slices.Equal(got, want) {
+					t.Fatalf("row %d: got %v, want %v", i, got, want)
+				}
+			}
+			for _, w := range s.seen {
+				if w != 0 {
+					t.Fatal("seen-bitset not restored to all-zero")
+				}
+			}
+		})
 	}
 }
 

@@ -1,6 +1,7 @@
 package backend
 
 import (
+	"slices"
 	"sort"
 
 	"picasso/internal/bitvec"
@@ -148,33 +149,55 @@ func ScratchBytes(n int) int64 {
 }
 
 // CollectRow gathers row i's deduplicated candidate partners — every j > i
-// sharing at least one candidate color with i, in bucket-discovery order —
-// into the scratch candidate buffer and returns it. Duplicates (pairs
-// sharing several colors) are suppressed with the scratch bitset, which is
-// restored to all-zero before returning. Each bucket is entered at the first
-// member greater than i via binary search: rows near the top of a bucket
-// never rescan the vertices below them. The returned slice is valid until
-// the next collection on the same Scratch.
+// sharing at least one candidate color with i, in ascending order — into the
+// scratch candidate buffer and returns it. Duplicates (pairs sharing several
+// colors) are suppressed with the scratch bitset, which is restored to
+// all-zero before returning. Each bucket is entered at the first member
+// greater than i via binary search: rows near the top of a bucket never
+// rescan the vertices below them. The ascending order comes from draining
+// the bitset over the candidates' span when they fill at least one slot in
+// drainSparsity of its words, and from a sort of the (then few) candidates
+// otherwise. The returned slice is valid until the next collection on the
+// same Scratch.
 func (b *Buckets) CollectRow(lists Lists, i int, s *Scratch) []int32 {
 	s.cand = s.cand[:0]
+	top := int32(i)
 	for _, c := range lists.List(i) {
 		members := b.Vtx[b.Off[c]:b.Off[c+1]]
 		k := sort.Search(len(members), func(k int) bool { return members[k] > int32(i) })
+		if k == len(members) {
+			continue
+		}
 		for _, j := range members[k:] {
 			if !s.seen.Test(int(j)) {
 				s.seen.Set(int(j))
 				s.cand = append(s.cand, j)
 			}
 		}
+		if last := members[len(members)-1]; last > top {
+			top = last
+		}
+	}
+	if len(s.cand) == 0 {
+		return s.cand
+	}
+	if words := int(top)>>6 - (i+1)>>6 + 1; words <= drainSparsity*len(s.cand) {
+		s.cand = s.seen.Drain(i+1, int(top), s.cand[:0])
+		return s.cand
 	}
 	for _, j := range s.cand {
 		s.seen.Clear(int(j))
 	}
+	slices.Sort(s.cand)
 	return s.cand
 }
 
+// drainSparsity is the most bitset words per candidate CollectRow scans to
+// emit a row in order; sparser rows sort their candidates instead.
+const drainSparsity = 8
+
 // ForRow calls f exactly once for every vertex j > i sharing at least one
-// candidate color with i (in bucket-discovery order). The bitset is restored
+// candidate color with i (in ascending order). The bitset is restored
 // to all-zero before f runs, so f may recurse into other rows. Returns false
 // if f aborted the scan. Kept for callers that want per-candidate control;
 // the builders use the batched scan below.
@@ -192,9 +215,11 @@ func (b *Buckets) ForRow(lists Lists, i int, s *Scratch, f func(j int32) bool) b
 // batched edge-oracle consultation: the row's deduplicated candidates are
 // collected, tested in a single HasRow call (bucket co-occurrence already
 // proved each pair shares a color), and the hits appended in candidate
-// order — bit-identical COO output to the historical per-pair loop, minus
-// a closure call and an oracle dispatch per pair. This is the one
-// conflict-test loop every builder executes.
+// order. Candidates are ascending upper partners (j > i) and rows are
+// scanned in ascending order, so the COO comes out sorted by (u, v): the
+// CSR conversion then places every adjacency row already in order and
+// skips its per-row sort. This is the one conflict-test loop every builder
+// executes.
 func (b *Buckets) scanRows(o BatchEdgeOracle, lists Lists, lo, hi int, s *Scratch, coo *graph.COO) int64 {
 	var calls int64
 	for i := lo; i < hi; i++ {

@@ -212,3 +212,36 @@ func TestBitsEmpty(t *testing.T) {
 		t.Fatalf("NewBits(64) has %d words, want 1", len(got))
 	}
 }
+
+func TestBitsDrain(t *testing.T) {
+	const n = 1000
+	b := NewBits(n)
+	rng := rand.New(rand.NewSource(5))
+	marked := map[int]bool{}
+	for k := 0; k < 120; k++ {
+		i := 130 + rng.Intn(700)
+		b.Set(i)
+		marked[i] = true
+	}
+	got := b.Drain(130, 829, []int32{-1})
+	if got[0] != -1 {
+		t.Fatal("Drain must append to dst, not overwrite it")
+	}
+	got = got[1:]
+	if len(got) != len(marked) {
+		t.Fatalf("drained %d indices, marked %d", len(got), len(marked))
+	}
+	for k, i := range got {
+		if !marked[int(i)] {
+			t.Fatalf("drained unmarked index %d", i)
+		}
+		if k > 0 && got[k-1] >= i {
+			t.Fatalf("drain not ascending at %d: %d then %d", k, got[k-1], i)
+		}
+	}
+	for _, w := range b {
+		if w != 0 {
+			t.Fatal("Drain left marked bits behind")
+		}
+	}
+}

@@ -89,12 +89,16 @@ func (e *engine) startPrebuild(ln *lane, start, end, prefix, fixedEnd, idx int, 
 		ctx: e.ctx, o: e.o, opts: e.opts, ar: ln.ar,
 		tr: ln.tr, root: ln.tr, builder: ln.bld,
 		res: &Result{}, colors: e.colors, n: e.n,
-		streamed: true, fixedEnd: fixedEnd, shardIdx: idx,
+		streamed: true, fixedEnd: prefix, shardIdx: idx,
 	}
 	go func() {
 		defer close(pb.done)
 		t0 := time.Now()
+		// initUnit's equitable class-size table reads the colors below
+		// fixedEnd, and only the prefix is frozen while the predecessor
+		// colors; adopt rebuilds the table over the full frontier.
 		pe.initUnit(start, end)
+		pe.fixedEnd = fixedEnd
 		pb.prep, pb.err = pe.prepareIter(prefix)
 		pb.active, pb.activeBytes = pe.active, pe.activeBytes
 		pb.iter, pb.rng = pe.iter, pe.rng

@@ -304,3 +304,48 @@ func TestNextShardConcurrentAttribution(t *testing.T) {
 		t.Fatalf("budget-free retarget moved the shard to %d", k)
 	}
 }
+
+func TestStreamPipelinedBitIdenticalEveryStrategy(t *testing.T) {
+	// A pipelined unit's conflict graph is built before the delta fixed
+	// pass, so it still holds vertices the delta kills; every coloring
+	// strategy (and the equitable variant) must ignore them exactly as the
+	// sequential build, which never saw them, does. Two-color lists
+	// (Alpha 0.6 at 1000-vertex shards) keep conflict degrees small, so
+	// some live vertices lose every conflict neighbor to the delta and must
+	// be colored as unconflicted.
+	o := graph.RandomOracle{N: 3000, P: 0.2, Seed: 43}
+	cases := map[string]func(*Options){
+		"dynamic":   func(o *Options) { o.Strategy = DynamicBuckets },
+		"natural":   func(o *Options) { o.Strategy = StaticNatural },
+		"largest":   func(o *Options) { o.Strategy = StaticLargest },
+		"random":    func(o *Options) { o.Strategy = StaticRandom },
+		"equitable": func(o *Options) { o.Variant = VariantEquitable },
+	}
+	for name, set := range cases {
+		opts := Normal(5)
+		opts.Alpha = 0.6
+		opts.ShardSize = 1000
+		set(&opts)
+		seq, err := Stream(context.Background(), o, opts)
+		if err != nil {
+			t.Fatalf("%s: sequential: %v", name, err)
+		}
+		opts.PipelineShards = true
+		pipe, err := Stream(context.Background(), o, opts)
+		if err != nil {
+			t.Fatalf("%s: pipelined: %v", name, err)
+		}
+		if pipe.PipelinedShards == 0 {
+			t.Fatalf("%s: pipelining never engaged", name)
+		}
+		if err := graph.VerifyOracle(o, pipe.Colors); err != nil {
+			t.Fatalf("%s: pipelined coloring not proper: %v", name, err)
+		}
+		for v := range seq.Colors {
+			if pipe.Colors[v] != seq.Colors[v] {
+				t.Fatalf("%s: pipelined differs from sequential stream at vertex %d: %d vs %d",
+					name, v, pipe.Colors[v], seq.Colors[v])
+			}
+		}
+	}
+}
