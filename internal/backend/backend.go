@@ -82,8 +82,7 @@ type DeviceSizer interface{ DeviceBytes() int64 }
 
 // Lists is the candidate-color-list view the kernel consumes: each of the
 // Len() vertices owns a sorted list of ListSize() distinct colors drawn from
-// the palette [0, Palette()), or an empty list when the caller leaves it out
-// of the build (it then takes part in no candidate pair).
+// the palette [0, Palette()).
 type Lists interface {
 	Len() int
 	ListSize() int

@@ -315,10 +315,9 @@ func TestBucketsInvariants(t *testing.T) {
 	}
 }
 
-func TestCollectRowAscendingBothPaths(t *testing.T) {
-	// Dense rows emit by draining the seen-bitset, sparse ones by sorting;
-	// both must give every sharing upper partner once, ascending, and leave
-	// the bitset clear for the next row.
+func TestCollectRowAscending(t *testing.T) {
+	// Rows dense and sparse in their span must give every sharing upper
+	// partner once, ascending, and leave the bitset clear for the next row.
 	for _, c := range []struct {
 		name    string
 		n, P, L int

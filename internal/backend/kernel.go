@@ -1,7 +1,6 @@
 package backend
 
 import (
-	"slices"
 	"sort"
 
 	"picasso/internal/bitvec"
@@ -150,18 +149,15 @@ func ScratchBytes(n int) int64 {
 
 // CollectRow gathers row i's deduplicated candidate partners — every j > i
 // sharing at least one candidate color with i, in ascending order — into the
-// scratch candidate buffer and returns it. Duplicates (pairs sharing several
-// colors) are suppressed with the scratch bitset, which is restored to
-// all-zero before returning. Each bucket is entered at the first member
-// greater than i via binary search: rows near the top of a bucket never
-// rescan the vertices below them. The ascending order comes from draining
-// the bitset over the candidates' span when they fill at least one slot in
-// drainSparsity of its words, and from a sort of the (then few) candidates
-// otherwise. The returned slice is valid until the next collection on the
-// same Scratch.
+// scratch candidate buffer and returns it. Each bucket is entered at the
+// first member greater than i via binary search: rows near the top of a
+// bucket never rescan the vertices below them. Partners are marked in the
+// scratch bitset, which suppresses duplicates (pairs sharing several colors)
+// for free, and then drained over the span they occupy, which emits them
+// ascending and restores the bitset to all-zero. The returned slice is valid
+// until the next collection on the same Scratch.
 func (b *Buckets) CollectRow(lists Lists, i int, s *Scratch) []int32 {
-	s.cand = s.cand[:0]
-	top := int32(i)
+	top := i
 	for _, c := range lists.List(i) {
 		members := b.Vtx[b.Off[c]:b.Off[c+1]]
 		k := sort.Search(len(members), func(k int) bool { return members[k] > int32(i) })
@@ -169,32 +165,13 @@ func (b *Buckets) CollectRow(lists Lists, i int, s *Scratch) []int32 {
 			continue
 		}
 		for _, j := range members[k:] {
-			if !s.seen.Test(int(j)) {
-				s.seen.Set(int(j))
-				s.cand = append(s.cand, j)
-			}
+			s.seen.Set(int(j))
 		}
-		if last := members[len(members)-1]; last > top {
-			top = last
-		}
+		top = max(top, int(members[len(members)-1]))
 	}
-	if len(s.cand) == 0 {
-		return s.cand
-	}
-	if words := int(top)>>6 - (i+1)>>6 + 1; words <= drainSparsity*len(s.cand) {
-		s.cand = s.seen.Drain(i+1, int(top), s.cand[:0])
-		return s.cand
-	}
-	for _, j := range s.cand {
-		s.seen.Clear(int(j))
-	}
-	slices.Sort(s.cand)
+	s.cand = s.seen.Drain(i+1, top, s.cand[:0])
 	return s.cand
 }
-
-// drainSparsity is the most bitset words per candidate CollectRow scans to
-// emit a row in order; sparser rows sort their candidates instead.
-const drainSparsity = 8
 
 // ForRow calls f exactly once for every vertex j > i sharing at least one
 // candidate color with i (in ascending order). The bitset is restored

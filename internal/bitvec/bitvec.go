@@ -125,8 +125,7 @@ func (b Bits) Test(i int) bool { return b[i>>6]&(1<<uint(i&63)) != 0 }
 
 // Drain appends every marked index in the words covering [lo, hi] to dst in
 // ascending order and zeroes those words. Its cost is one word read per 64
-// indices of the span plus one step per marked index, so it beats sorting
-// the marked indices whenever they are not too sparse in the span.
+// indices of the span plus one step per marked index.
 func (b Bits) Drain(lo, hi int, dst []int32) []int32 {
 	for w := lo >> 6; w <= hi>>6; w++ {
 		word := b[w]

@@ -36,11 +36,10 @@ type Arena struct {
 	lc         listColorResult
 	sub        graph.Oracle // retained SubViewer compaction
 
-	// Streaming-only buffers: the fixed-color pass's forbidden mask, the
-	// per-vertex dead flags derived from it, the frontier-chunk id/color
-	// staging, and the direct-failure worklist for dead vertices.
+	// Streaming-only buffers: the fixed-color pass's forbidden mask and
+	// frontier-chunk id/color staging, and the direct-failure worklist for
+	// unconflicted vertices whose whole candidate list was pruned.
 	forbid       []bool
-	dead         []bool
 	fixedIDs     []int32
 	fixedColors  []int32
 	directFailed []int32
@@ -119,13 +118,6 @@ func (a *Arena) result(assign []int32) *listColorResult {
 func (a *Arena) forbidBuf(slots int) []bool {
 	a.forbid = grow.Zeroed(a.forbid, slots)
 	return a.forbid
-}
-
-// deadBuf returns the per-vertex dead-flag buffer for n vertices (contents
-// garbage; the caller writes every entry).
-func (a *Arena) deadBuf(n int) []bool {
-	a.dead = grow.Slice(a.dead, n)
-	return a.dead
 }
 
 // fixedBufs returns the emptied frontier-chunk staging buffers; callers

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"slices"
-
 	"picasso/internal/backend"
 	"picasso/internal/graph"
 )
@@ -102,40 +100,6 @@ func (c crossOracle) HasCross(i int, fixed []int32, out []bool) {
 	}
 }
 
-// liveLists is the candidate-list view a streamed iteration's conflict
-// build consumes: a vertex whose every slot the forbidden mask rules out
-// shows an empty list, so it lands in no bucket and takes part in no
-// candidate pair. Which vertices are dead depends on the mask at build
-// time; the coloring stage only ever looks at conflicts between vertices
-// still live after the full fixed pass, so a mask that later gains marks
-// (the pipelined delta pass) leaves the coloring unchanged.
-type liveLists struct {
-	*colorLists
-	forbidden []bool
-}
-
-// List returns vertex i's candidate colors, or nil when all are forbidden.
-func (l liveLists) List(i int) []int32 {
-	if slices.Contains(l.forbidden[i*l.L:(i+1)*l.L], false) {
-		return l.list(i)
-	}
-	return nil
-}
-
-// hasLiveNeighbor reports whether vertex i has a conflict neighbor that is
-// not dead (nil dead: any neighbor counts).
-func hasLiveNeighbor(g *graph.CSR, i int, dead []bool) bool {
-	if dead == nil {
-		return g.Degree(i) > 0
-	}
-	for _, u := range g.Neighbors(i) {
-		if !dead[u] {
-			return true
-		}
-	}
-	return false
-}
-
 // Len returns the active-vertex count m.
 func (e edgeOracle) Len() int {
 	if e.active == nil {
@@ -187,5 +151,4 @@ var (
 	_ backend.BatchEdgeOracle = edgeOracle{}
 	_ backend.DeviceSizer     = edgeOracle{}
 	_ backend.CrossOracle     = crossOracle{}
-	_ backend.Lists           = liveLists{}
 )

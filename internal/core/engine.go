@@ -12,7 +12,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"slices"
 	"time"
 
 	"picasso/internal/backend"
@@ -319,18 +318,22 @@ func (e *engine) prepareIter(prefix int) (*prepared, error) {
 		return nil, err
 	}
 
-	// Stage 2 — build. Streamed units first run the fixed-color pass,
-	// pruning candidates against the frozen frontier prefix, then build the
-	// conflict subgraph via the configured backend (line 7) over the live
-	// vertices only: a vertex with every candidate slot forbidden fails this
-	// iteration whatever its conflicts, so the build skips it (see
-	// liveLists). In late shards most vertices start out dead — the first
-	// palette windows replay colors the frontier already holds densely — and
-	// the skip is what keeps those iterations from rebuilding a conflict
-	// graph nobody can use. The iteration-local view is a zero-cost
-	// identity/range view on first iterations and a compacted sub-view
-	// (charged while it lives) afterwards.
+	// Stage 2 — build: the conflict subgraph via the configured backend
+	// (line 7), then — streamed units only — the fixed-color pass pruning
+	// candidates against the frozen frontier prefix. The iteration-local
+	// view is a zero-cost identity/range view on first iterations and a
+	// compacted sub-view (charged while it lives) afterwards.
 	t1 := time.Now()
+	eo := e.edgeView()
+	subRelease := tr.Scoped(subViewBytes(eo))
+	conf, bst, err := e.builder.Build(e.ctx, eo, cl, tr)
+	if err != nil {
+		subRelease()
+		listRelease()
+		return nil, fmt.Errorf("core: iteration %d: %w", e.iter, err)
+	}
+	subRelease()
+	hostRelease := func() { tr.Free(bst.HostBytes) }
 	var forbidden []bool
 	maskRelease := func() {}
 	if e.streamed && (e.fixedEnd > 0 || e.pruneBound() > 0) {
@@ -340,6 +343,7 @@ func (e *engine) prepareIter(prefix int) (*prepared, error) {
 			if err := e.fixedPassRange(cl, forbidden, &st, 0, prefix); err != nil {
 				maskRelease()
 				listRelease()
+				hostRelease()
 				return nil, err
 			}
 		}
@@ -359,20 +363,6 @@ func (e *engine) prepareIter(prefix int) (*prepared, error) {
 			}
 		}
 	}
-	var lists backend.Lists = cl
-	if forbidden != nil {
-		lists = liveLists{cl, forbidden}
-	}
-	eo := e.edgeView()
-	subRelease := tr.Scoped(subViewBytes(eo))
-	conf, bst, err := e.builder.Build(e.ctx, eo, lists, tr)
-	subRelease()
-	if err != nil {
-		maskRelease()
-		listRelease()
-		return nil, fmt.Errorf("core: iteration %d: %w", e.iter, err)
-	}
-	hostRelease := func() { tr.Free(bst.HostBytes) }
 	st.BuildTime = time.Since(t1)
 	st.ConflictEdges = conf.Edges
 	st.PairsTested = bst.PairsTested
@@ -410,30 +400,12 @@ func (e *engine) finishIter(p *prepared) error {
 	}
 
 	// Stage 3 — color: unconflicted vertices directly, then the conflict
-	// graph (lines 8–9), both honoring the forbidden mask. Dead vertices —
-	// every candidate slot forbidden after the full pass — fail outright.
-	// The rest conflict only through live neighbors: a pipelined unit's
-	// graph was built before the delta pass, so it may still hold vertices
-	// the delta killed, and counting those would make the coloring depend
-	// on the schedule.
+	// graph (lines 8–9), both honoring the forbidden mask.
 	t2 := time.Now()
-	var dead []bool
-	deadRelease := func() {}
-	if forbidden != nil {
-		dead = e.ar.deadBuf(m)
-		deadRelease = e.tr.Scoped(int64(m))
-		for i := range dead {
-			dead[i] = !slices.Contains(forbidden[i*L:(i+1)*L], false)
-		}
-	}
 	conflicted := e.ar.conflictedBuf()
 	direct := e.ar.directFailedBuf()
 	for i := 0; i < m; i++ {
-		if dead != nil && dead[i] {
-			direct = append(direct, int32(i))
-			continue
-		}
-		if hasLiveNeighbor(conf.G, i, dead) {
+		if conf.G.Degree(i) > 0 {
 			conflicted = append(conflicted, int32(i))
 			continue
 		}
@@ -452,19 +424,28 @@ func (e *engine) finishIter(p *prepared) error {
 		if e.bal != nil {
 			// Equitable: among the allowed slots, take the one whose class
 			// is currently smallest instead of sampling uniformly.
-			c := e.base + lst[e.bal.pickSlot(lst, e.base, forbidden, i*L, e.rng)]
+			k := e.bal.pickSlot(lst, e.base, forbidden, i*L, e.rng)
+			if k < 0 {
+				direct = append(direct, int32(i))
+				continue
+			}
+			c := e.base + lst[k]
 			e.bal.note(c)
 			e.setColor(int(e.active[i]), c)
 			st.Unconflicted++
 			continue
 		}
 		// Streamed: sample uniformly among the slots the fixed-color pass
-		// left allowed (at least one — the vertex is live).
+		// left allowed; a fully pruned vertex fails to the next iteration.
 		allowed := 0
 		for k := range lst {
 			if !forbidden[i*L+k] {
 				allowed++
 			}
+		}
+		if allowed == 0 {
+			direct = append(direct, int32(i))
+			continue
 		}
 		pick := e.rng.Intn(allowed)
 		for k, c := range lst {
@@ -486,7 +467,7 @@ func (e *engine) finishIter(p *prepared) error {
 	if e.opts.Strategy == DynamicBuckets {
 		lc = colorConflictDynamic(conf.G, cl, conflicted, forbidden, e.bal, e.base, e.rng, e.ar)
 	} else {
-		lc = colorConflictStatic(conf.G, cl, conflicted, forbidden, dead, e.opts.Strategy, e.bal, e.base, e.rng, e.ar)
+		lc = colorConflictStatic(conf.G, cl, conflicted, forbidden, e.opts.Strategy, e.bal, e.base, e.rng, e.ar)
 	}
 	for _, v := range conflicted {
 		if c := lc.assign[v]; c != -1 {
@@ -501,7 +482,6 @@ func (e *engine) finishIter(p *prepared) error {
 	// not yet reached (the unit's own colored count is end−start−failed).
 	st.Uncolored = e.n - e.end + len(failed)
 	st.ColorTime = time.Since(t2)
-	deadRelease()
 	p.releaseMask()
 	p.releaseList()
 	p.releaseHost()

@@ -32,9 +32,8 @@ type mutableLists struct {
 // arena's slab, skipping the slots a streamed run's fixed-color pass marked
 // forbidden (nil = keep everything, the one-shot path). start/count entries
 // of unconflicted vertices are left untouched (garbage): only conflict
-// vertices are ever looked up. Vertices whose whole list was forbidden never
-// get here (the engine fails them before coloring); one that did would end
-// up with count 0 and be routed straight to the failed set.
+// vertices are ever looked up. A vertex whose whole list was forbidden ends
+// up with count 0 — the callers route it straight to the failed set.
 func newMutableLists(cl *colorLists, conflicted []int32, forbidden []bool, ar *Arena) *mutableLists {
 	ml := &ar.ml
 	ml.L = cl.L
@@ -90,8 +89,7 @@ func (ml *mutableLists) remove(v int32, c int32) bool {
 // neighbors, re-bucketing them (or declaring them failed when their list
 // empties). Runtime O((|Vc|+|Ec|)·L) — the heap-free bound of §IV-B. In
 // streamed runs the forbidden mask pre-strikes colors held by adjacent
-// fixed-frontier vertices. Neighbors outside conflicted (dead vertices a
-// pipelined build still holds) are never bucketed, so they are skipped.
+// fixed-frontier vertices; a vertex left with nothing fails immediately.
 func colorConflictDynamic(gc *graph.CSR, cl *colorLists, conflicted []int32, forbidden []bool, bal *classBalance, base int32, rng *rand.Rand, ar *Arena) *listColorResult {
 	ml := newMutableLists(cl, conflicted, forbidden, ar)
 	assign := ar.assignBuf(cl.n)
@@ -143,13 +141,13 @@ func colorConflictDynamic(gc *graph.CSR, cl *colorLists, conflicted []int32, for
 // streamed runs, forbidden by the fixed-color pass). The taken-color set is
 // the arena's palette stamp set — one epoch bump per vertex instead of
 // rebuilding a map on the hot path.
-func colorConflictStatic(gc *graph.CSR, cl *colorLists, conflicted []int32, forbidden, dead []bool, strategy ListStrategy, bal *classBalance, base int32, rng *rand.Rand, ar *Arena) *listColorResult {
+func colorConflictStatic(gc *graph.CSR, cl *colorLists, conflicted []int32, forbidden []bool, strategy ListStrategy, bal *classBalance, base int32, rng *rand.Rand, ar *Arena) *listColorResult {
 	order := ar.orderBuf(conflicted)
 	switch strategy {
 	case StaticNatural:
 		// ids ascending — conflicted is already in ascending id order.
 	case StaticLargest:
-		sortByConflictDegreeDesc(gc, order, dead)
+		sortByConflictDegreeDesc(gc, order)
 	case StaticRandom:
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 	}
@@ -212,32 +210,18 @@ func colorConflictStatic(gc *graph.CSR, cl *colorLists, conflicted []int32, forb
 }
 
 // sortByConflictDegreeDesc orders vertices by decreasing conflict degree
-// with id tie-break (deterministic). Only live neighbors count (nil dead:
-// all do), so a graph still holding vertices killed after its build sorts
-// like one built without them.
-func sortByConflictDegreeDesc(gc *graph.CSR, order []int32, dead []bool) {
-	degree := func(v int32) int {
-		if dead == nil {
-			return gc.Degree(int(v))
-		}
-		d := 0
-		for _, u := range gc.Neighbors(int(v)) {
-			if !dead[u] {
-				d++
-			}
-		}
-		return d
-	}
+// with id tie-break (deterministic).
+func sortByConflictDegreeDesc(gc *graph.CSR, order []int32) {
 	// Counting sort by degree (degrees are small: O(log³ n) w.h.p.).
 	maxDeg := 0
 	for _, v := range order {
-		if d := degree(v); d > maxDeg {
+		if d := gc.Degree(int(v)); d > maxDeg {
 			maxDeg = d
 		}
 	}
 	buckets := make([][]int32, maxDeg+1)
 	for _, v := range order {
-		d := degree(v)
+		d := gc.Degree(int(v))
 		buckets[d] = append(buckets[d], v)
 	}
 	k := 0

@@ -217,7 +217,7 @@ func shardFootprint(opts *Options, o graph.Oracle, n, B int) int64 {
 	L := opts.listSizeFor(B, P)
 	lists := int64(4 * L)      // candidate lists
 	buckets := int64(4*L + 24) // inverted index Vtx + RowWeight (+Off share)
-	mask := int64(L + 12)      // forbidden mask + fixed-chunk staging (or the dead flags)
+	mask := int64(L + 12)      // forbidden mask + fixed-chunk staging
 	var oracle int64           // compacted sub-view vertex data
 	if ds, ok := o.(backend.DeviceSizer); ok && n > 0 {
 		oracle = ds.DeviceBytes() / int64(n)

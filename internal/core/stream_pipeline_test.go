@@ -306,13 +306,12 @@ func TestNextShardConcurrentAttribution(t *testing.T) {
 }
 
 func TestStreamPipelinedBitIdenticalEveryStrategy(t *testing.T) {
-	// A pipelined unit's conflict graph is built before the delta fixed
-	// pass, so it still holds vertices the delta kills; every coloring
-	// strategy (and the equitable variant) must ignore them exactly as the
-	// sequential build, which never saw them, does. Two-color lists
-	// (Alpha 0.6 at 1000-vertex shards) keep conflict degrees small, so
-	// some live vertices lose every conflict neighbor to the delta and must
-	// be colored as unconflicted.
+	// Every coloring strategy and the equitable variant must color a
+	// pipelined stream exactly like the sequential one. The equitable case
+	// also covers the prebuild's class-size table, which must not read the
+	// colors its predecessor shard is still writing (run under -race).
+	// Short lists (Alpha 0.6) keep each shard coloring for many
+	// iterations, so prebuilds start while their predecessor still writes.
 	o := graph.RandomOracle{N: 3000, P: 0.2, Seed: 43}
 	cases := map[string]func(*Options){
 		"dynamic":   func(o *Options) { o.Strategy = DynamicBuckets },

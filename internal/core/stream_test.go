@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"picasso/internal/backend"
 	"picasso/internal/gpusim"
 	"picasso/internal/graph"
 	"picasso/internal/memtrack"
@@ -436,56 +435,5 @@ func TestReusedTrackerDoesNotPoisonBudgetVerdict(t *testing.T) {
 	}
 	if res2.BudgetExceeded {
 		t.Fatal("disarmed rerun reported a budget violation")
-	}
-}
-
-// deadRecorder wraps a builder and checks every build it serves: a vertex
-// handed an empty candidate list (dead: every slot forbidden) must end up
-// in no conflict edge.
-type deadRecorder struct {
-	backend.ConflictBuilder
-	deadSeen  int
-	deadEdges int
-}
-
-func (d *deadRecorder) Build(ctx context.Context, o backend.EdgeOracle, lists backend.Lists, tr *memtrack.Tracker) (*backend.ConflictGraph, backend.Stats, error) {
-	cg, st, err := d.ConflictBuilder.Build(ctx, o, lists, tr)
-	if err != nil {
-		return cg, st, err
-	}
-	for i := 0; i < lists.Len(); i++ {
-		if len(lists.List(i)) == 0 {
-			d.deadSeen++
-			d.deadEdges += cg.G.Degree(i)
-		}
-	}
-	return cg, st, nil
-}
-
-func TestStreamBuildSkipsDeadVertices(t *testing.T) {
-	// In late shards most vertices' first candidate windows are colors the
-	// frontier already holds around them; those vertices must not be built
-	// into the conflict graph, and the coloring must stay proper.
-	o := graph.RandomOracle{N: 4000, P: 0.5, Seed: 13}
-	opts := Normal(3)
-	opts.ShardSize = 1000
-	inner, err := backend.New("sequential", backend.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := &deadRecorder{ConflictBuilder: inner}
-	opts.Builder = rec
-	res, err := Stream(context.Background(), o, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := graph.VerifyOracle(o, res.Colors); err != nil {
-		t.Fatal(err)
-	}
-	if rec.deadSeen == 0 {
-		t.Fatal("no streamed build ever skipped a dead vertex")
-	}
-	if rec.deadEdges != 0 {
-		t.Errorf("dead vertices carry %d conflict edges", rec.deadEdges)
 	}
 }
