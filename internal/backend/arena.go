@@ -6,8 +6,8 @@ import (
 )
 
 // Arena pools the working storage of conflict-graph construction — the
-// bucket index, per-worker kernel scratch, COO edge buffers, device band
-// buffers, and the conflict CSR backing — so a steady-state caller (the
+// bucket index, per-worker kernel scratch and row-major edge lanes, device
+// band buffers, and the conflict CSR backing — so a steady-state caller (the
 // iteration loop, a service worker recoloring job after job) reuses one set
 // of allocations instead of re-making them every build. Buffers grow to the
 // largest build seen and are retained, except the device bands' worst-case
@@ -26,7 +26,7 @@ type Arena struct {
 	lanes []workerLane
 	bands []*bandState
 	calls []int64
-	coo   graph.COO // sequential/merge edge list
+	coo   graph.COO // multigpu's merged device edge list
 	deg   []int64
 	csr   graph.CSR
 }
@@ -36,8 +36,8 @@ func NewArena() *Arena { return &Arena{} }
 
 // workerLane is one CPU worker's private kernel state.
 type workerLane struct {
-	s   *Scratch
-	coo graph.COO
+	s     *Scratch
+	edges rowLane
 }
 
 // bandState is one device band's private kernel state: per-"SM" scratches
@@ -75,21 +75,17 @@ func (a *Arena) scratch(w, n int) *Scratch {
 	return ln.s
 }
 
-// laneCOO returns worker lane w's edge buffer, emptied for n vertices. The
-// returned COO aliases arena storage, so growth through Append is retained
-// for the next build.
-func (a *Arena) laneCOO(w, n int) *graph.COO {
+// lane returns worker lane w's edge storage (scanRows resets it). The lane
+// aliases arena storage, so its growth is retained for the next build.
+func (a *Arena) lane(w int) *rowLane {
 	if a == nil {
-		return &graph.COO{N: n}
+		return &rowLane{}
 	}
-	c := &a.lanes[w].coo
-	c.N = n
-	c.U = c.U[:0]
-	c.V = c.V[:0]
-	return c
+	return &a.lanes[w].edges
 }
 
-// mainCOO returns the sequential/merge edge buffer, emptied for n vertices.
+// mainCOO returns the multigpu builder's merge edge buffer, emptied for n
+// vertices.
 func (a *Arena) mainCOO(n int) *graph.COO {
 	if a == nil {
 		return &graph.COO{N: n}
@@ -110,7 +106,7 @@ func (a *Arena) callsBuf(n int) []int64 {
 }
 
 // degBuf returns the degree scratch for CSR conversion (contents garbage;
-// CountDegreesInto zeroes it).
+// the conversion zeroes it).
 func (a *Arena) degBuf(n int) []int64 {
 	if a == nil {
 		return nil

@@ -226,7 +226,8 @@ func Names() []string {
 	return append([]string{"auto"}, names...)
 }
 
-// finishCOO converts a host-side edge list to CSR and fills in the host
+// finishCOO converts an edge list (the reference scan's, or the multigpu
+// builder's merge of its device bands) to CSR and fills in the host
 // accounting: the transient COO is charged for the duration of the
 // conversion, the resulting CSR stays charged (Stats.HostBytes) for the
 // caller to free.

@@ -167,39 +167,146 @@ func TestOracleCallCountMatchesSharingPairs(t *testing.T) {
 	}
 }
 
-func TestChunkedScanPreservesCOOOrder(t *testing.T) {
+func TestChunkedScanPreservesLaneOrder(t *testing.T) {
 	// The parallel builder's determinism rests on this: scanning rows in
-	// contiguous chunks and concatenating the per-chunk edge lists in chunk
-	// order must reproduce the sequential scan's raw COO byte-for-byte
-	// (row-major, ascending within a row). Compared at the
-	// kernel level — CSR conversion sorts adjacency and would mask order
-	// bugs.
+	// contiguous chunks and concatenating the per-chunk lanes in chunk order
+	// must reproduce the whole-range lane entry for entry (row-major,
+	// ascending within a row). Compared at the kernel level, before any CSR
+	// conversion.
 	const n = 300
 	o := testOracle{graph.RandomOracle{N: n, P: 0.5, Seed: 11}}
 	lists := newTestLists(n, 40, 6, 17)
 	bk := NewBuckets(lists)
 
-	whole := &graph.COO{N: n}
-	bk.scanRows(AsBatch(o), lists, 0, n, NewScratch(n), whole)
+	var whole rowLane
+	bk.scanRows(AsBatch(o), lists, 0, n, NewScratch(n), &whole)
 
-	chunked := &graph.COO{N: n}
-	for _, cut := range [][2]int{{0, 97}, {97, 201}, {201, n}} {
-		part := &graph.COO{N: n}
-		bk.scanRows(AsBatch(o), lists, cut[0], cut[1], NewScratch(n), part)
-		chunked.U = append(chunked.U, part.U...)
-		chunked.V = append(chunked.V, part.V...)
+	var chunked rowLane
+	for _, cut := range [][2]int{{0, 97}, {97, 97}, {97, 201}, {201, n}} {
+		var part rowLane
+		bk.scanRows(AsBatch(o), lists, cut[0], cut[1], NewScratch(n), &part)
+		if part.lo != cut[0] || len(part.cnt) != cut[1]-cut[0] {
+			t.Fatalf("chunk %v: lane covers rows [%d, %d)", cut, part.lo, part.lo+len(part.cnt))
+		}
+		chunked.cnt = append(chunked.cnt, part.cnt...)
+		chunked.v = append(chunked.v, part.v...)
 	}
 
-	if len(whole.U) == 0 {
+	if len(whole.v) == 0 {
 		t.Fatal("test instance produced no edges")
 	}
-	if len(whole.U) != len(chunked.U) {
-		t.Fatalf("edge counts differ: %d vs %d", len(whole.U), len(chunked.U))
+	if whole.lo != 0 || len(whole.cnt) != n {
+		t.Fatalf("whole lane covers rows [%d, %d), want [0, %d)", whole.lo, whole.lo+len(whole.cnt), n)
 	}
-	for k := range whole.U {
-		if whole.U[k] != chunked.U[k] || whole.V[k] != chunked.V[k] {
-			t.Fatalf("COO entry %d differs: (%d,%d) vs (%d,%d)",
-				k, whole.U[k], whole.V[k], chunked.U[k], chunked.V[k])
+	if !slices.Equal(whole.cnt, chunked.cnt) {
+		t.Fatal("per-row hit counts differ between whole and chunked scans")
+	}
+	if len(whole.v) != len(chunked.v) {
+		t.Fatalf("edge counts differ: %d vs %d", len(whole.v), len(chunked.v))
+	}
+	for k := range whole.v {
+		if whole.v[k] != chunked.v[k] {
+			t.Fatalf("lane entry %d differs: %d vs %d", k, whole.v[k], chunked.v[k])
+		}
+	}
+}
+
+func TestLanesToCSRMatchesCOO(t *testing.T) {
+	// The host builders' lane conversion must give exactly what COO.ToCSR
+	// gives on the same edges, byte for byte, for every way rows can be cut
+	// into lanes. One degree scratch and one CSR are reused across cases, so
+	// the pooled path sees dirty, oversized buffers.
+	rng := rand.New(rand.NewSource(23))
+	deg := make([]int64, 256)
+	for k := range deg {
+		deg[k] = int64(k*7 + 3)
+	}
+	var pooled graph.CSR
+	for _, tc := range []struct {
+		name    string
+		n       int
+		density float64
+		cuts    []int // interior lane boundaries; repeats make zero-row lanes
+	}{
+		{"single lane", 200, 0.3, nil},
+		{"even split", 200, 0.3, []int{50, 100, 150}},
+		{"zero-row lanes", 120, 0.4, []int{0, 0, 60, 60, 60, 120}},
+		{"more workers than rows", 3, 1.0, []int{0, 1, 1, 2, 3, 3}},
+		{"no edges", 90, 0, []int{30, 60}},
+		{"rows with no hits", 150, 0.02, []int{10, 11, 149}},
+		{"one vertex", 1, 1.0, []int{0, 1}},
+		{"empty graph", 0, 1.0, []int{0, 0}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			coo := &graph.COO{N: tc.n}
+			bounds := append(append([]int{0}, tc.cuts...), tc.n)
+			var lanes []*rowLane
+			for b := 0; b+1 < len(bounds); b++ {
+				ln := &rowLane{}
+				ln.reset(bounds[b], bounds[b+1])
+				for i := bounds[b]; i < bounds[b+1]; i++ {
+					start := len(ln.v)
+					for j := i + 1; j < tc.n; j++ {
+						if rng.Float64() < tc.density {
+							ln.v = append(ln.v, int32(j))
+							coo.Append(int32(i), int32(j))
+						}
+					}
+					ln.cnt[i-bounds[b]] = int32(len(ln.v) - start)
+				}
+				lanes = append(lanes, ln)
+			}
+			want, err := coo.ToCSR(coo.CountDegrees())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, got := range []*graph.CSR{
+				lanesToCSR(lanes, tc.n, nil, nil),
+				lanesToCSR(lanes, tc.n, deg, &pooled),
+			} {
+				if got.N != want.N || !slices.Equal(got.Offsets, want.Offsets) || !slices.Equal(got.Adj, want.Adj) {
+					t.Fatalf("lanes CSR (offsets %v, adj %v) differs from COO CSR (offsets %v, adj %v)",
+						got.Offsets, got.Adj, want.Offsets, want.Adj)
+				}
+				if err := got.Validate(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+func TestHostBuildersKeepNoMergedCOO(t *testing.T) {
+	// The host builders scatter their lanes straight into the CSR: no build
+	// on a warm arena may grow the merged edge list, and the lanes hold each
+	// edge once.
+	o := testOracle{graph.RandomOracle{N: 400, P: 0.5, Seed: 8}}
+	lists := newTestLists(400, 50, 6, 8)
+	for _, name := range []string{"sequential", "parallel"} {
+		arena := NewArena()
+		b, err := New(name, Config{Workers: 3, Arena: arena})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for round := 0; round < 2; round++ {
+			cg, _, err := b.Build(context.Background(), o, lists, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cg.Edges == 0 {
+				t.Fatalf("%s: test instance produced no edges", name)
+			}
+			if cap(arena.coo.U) != 0 || cap(arena.coo.V) != 0 {
+				t.Fatalf("%s round %d: merged COO holds capacity %d+%d",
+					name, round, cap(arena.coo.U), cap(arena.coo.V))
+			}
+			var laneEdges int64
+			for _, ln := range arena.lanes {
+				laneEdges += int64(len(ln.edges.v))
+			}
+			if laneEdges != cg.Edges {
+				t.Fatalf("%s round %d: lanes hold %d edges, graph has %d", name, round, laneEdges, cg.Edges)
+			}
 		}
 	}
 }
@@ -350,7 +457,7 @@ func TestCollectRowAscending(t *testing.T) {
 	}
 }
 
-func TestForRowDeduplicates(t *testing.T) {
+func TestCollectRowDeduplicates(t *testing.T) {
 	// Craft heavy overlap: tiny palette, long lists — most pairs share many
 	// colors but must surface exactly once.
 	lists := newTestLists(40, 6, 4, 2)
@@ -358,10 +465,9 @@ func TestForRowDeduplicates(t *testing.T) {
 	s := NewScratch(40)
 	for i := 0; i < 40; i++ {
 		seen := map[int32]int{}
-		bk.ForRow(lists, i, s, func(j int32) bool {
+		for _, j := range bk.CollectRow(lists, i, s) {
 			seen[j]++
-			return true
-		})
+		}
 		for j, count := range seen {
 			if count != 1 {
 				t.Fatalf("row %d: vertex %d surfaced %d times", i, j, count)

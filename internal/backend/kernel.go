@@ -1,6 +1,7 @@
 package backend
 
 import (
+	"slices"
 	"sort"
 
 	"picasso/internal/bitvec"
@@ -173,45 +174,39 @@ func (b *Buckets) CollectRow(lists Lists, i int, s *Scratch) []int32 {
 	return s.cand
 }
 
-// ForRow calls f exactly once for every vertex j > i sharing at least one
-// candidate color with i (in ascending order). The bitset is restored
-// to all-zero before f runs, so f may recurse into other rows. Returns false
-// if f aborted the scan. Kept for callers that want per-candidate control;
-// the builders use the batched scan below.
-func (b *Buckets) ForRow(lists Lists, i int, s *Scratch, f func(j int32) bool) bool {
-	for _, j := range b.CollectRow(lists, i, s) {
-		if !f(j) {
-			return false
-		}
-	}
-	return true
-}
-
-// scanRows runs the kernel over rows [lo, hi), appending the surviving
-// edges to coo and returning the number of pairs tested. Each row is one
+// scanRows runs the kernel over rows [lo, hi) into ln, which it resets to
+// those rows, and returns the number of pairs tested. Each row is one
 // batched edge-oracle consultation: the row's deduplicated candidates are
 // collected, tested in a single HasRow call (bucket co-occurrence already
-// proved each pair shares a color), and the hits appended in candidate
-// order. Candidates are ascending upper partners (j > i) and rows are
-// scanned in ascending order, so the COO comes out sorted by (u, v): the
-// CSR conversion then places every adjacency row already in order and
-// skips its per-row sort. This is the one conflict-test loop every builder
+// proved each pair shares a color), and the hits appended to the lane in
+// candidate order, followed by the row's hit count. Candidates are ascending
+// upper partners (j > i) and rows are scanned in ascending order, so the
+// lane is row-major and sorted: lanesToCSR scatters it into sorted
+// adjacency rows directly. This is the one conflict-test loop every builder
 // executes.
-func (b *Buckets) scanRows(o BatchEdgeOracle, lists Lists, lo, hi int, s *Scratch, coo *graph.COO) int64 {
+func (b *Buckets) scanRows(o BatchEdgeOracle, lists Lists, lo, hi int, s *Scratch, ln *rowLane) int64 {
+	ln.reset(lo, hi)
 	var calls int64
 	for i := lo; i < hi; i++ {
-		cand := b.CollectRow(lists, i, s)
-		if len(cand) == 0 {
-			continue
-		}
-		hits := s.hitsFor(len(cand))
-		o.HasRow(i, cand, hits)
-		calls += int64(len(cand))
-		for k, j := range cand {
-			if hits[k] {
-				coo.Append(int32(i), j)
+		hit := 0
+		if cand := b.CollectRow(lists, i, s); len(cand) > 0 {
+			hits := s.hitsFor(len(cand))
+			o.HasRow(i, cand, hits)
+			calls += int64(len(cand))
+			// Every candidate is written and the cursor advances only on a
+			// hit: no branch on the oracle's coin flips in the inner loop.
+			start := len(ln.v)
+			ln.v = slices.Grow(ln.v, len(cand))
+			row := ln.v[start : start+len(cand)]
+			for k, j := range cand {
+				row[hit] = j
+				if hits[k] {
+					hit++
+				}
 			}
+			ln.v = ln.v[:start+hit]
 		}
+		ln.cnt[i-lo] = int32(hit)
 	}
 	return calls
 }

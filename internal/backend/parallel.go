@@ -3,7 +3,6 @@ package backend
 import (
 	"context"
 
-	"picasso/internal/graph"
 	"picasso/internal/memtrack"
 	"picasso/internal/par"
 )
@@ -17,9 +16,9 @@ func init() {
 // parBuilder is the multicore CPU path: rows are split into contiguous
 // chunks balanced by the buckets' per-row pair weights (not by row count —
 // candidate pairs are triangular and bucket-skewed), each worker runs the
-// kernel into a private edge buffer with private scratch, and the buffers
-// are concatenated in worker order so the edge list — and therefore the
-// downstream coloring — is identical to the sequential builder's.
+// kernel into a private row-major lane with private scratch, and the lanes
+// are scattered into the CSR in worker order, so the CSR — and therefore
+// the downstream coloring — is identical to the sequential builder's.
 type parBuilder struct {
 	workers int
 	arena   *Arena
@@ -51,14 +50,14 @@ func (b parBuilder) Build(ctx context.Context, o EdgeOracle, lists Lists, tr *me
 	// touches only its own lane, so arena reuse stays race-free.
 	a.reserveLanes(workers)
 	bo := AsBatch(o)
-	locals := make([]*graph.COO, workers)
+	locals := make([]*rowLane, workers)
 	calls := a.callsBuf(workers)
 	par.ForWeightedChunks(workers, bk.RowWeight, func(lo, hi, w int) {
 		if Cancelled(ctx) != nil {
 			return
 		}
 		s := a.scratch(w, m)
-		local := a.laneCOO(w, m)
+		local := a.lane(w)
 		calls[w] = bk.scanRows(bo, lists, lo, hi, s, local)
 		locals[w] = local
 	})
@@ -66,15 +65,17 @@ func (b parBuilder) Build(ctx context.Context, o EdgeOracle, lists Lists, tr *me
 		return nil, Stats{}, err
 	}
 
-	coo := a.mainCOO(m)
+	// Chunks are contiguous and issued in worker order, so the filled lanes
+	// in worker order cover the rows ascending.
+	lanes := locals[:0]
 	var st Stats
 	for w, local := range locals {
 		if local == nil {
 			continue
 		}
-		coo.U = append(coo.U, local.U...)
-		coo.V = append(coo.V, local.V...)
+		lanes = append(lanes, local)
 		st.PairsTested += calls[w]
 	}
-	return finishCOOIn(a, coo, tr, st)
+	cg, st := finishLanes(a, lanes, m, tr, st)
+	return cg, st, nil
 }

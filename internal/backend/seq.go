@@ -32,10 +32,11 @@ func (b seqBuilder) Build(ctx context.Context, o EdgeOracle, lists Lists, tr *me
 	if err := Cancelled(ctx); err != nil {
 		return nil, Stats{}, err
 	}
-	coo := a.mainCOO(m)
-	st := Stats{PairsTested: bk.scanRows(AsBatch(o), lists, 0, m, s, coo)}
+	ln := a.lane(0)
+	st := Stats{PairsTested: bk.scanRows(AsBatch(o), lists, 0, m, s, ln)}
 	if err := Cancelled(ctx); err != nil {
 		return nil, Stats{}, err
 	}
-	return finishCOOIn(a, coo, tr, st)
+	cg, st := finishLanes(a, []*rowLane{ln}, m, tr, st)
+	return cg, st, nil
 }

@@ -223,8 +223,10 @@ func shardFootprint(opts *Options, o graph.Oracle, n, B int) int64 {
 		oracle = ds.DeviceBytes() / int64(n)
 	}
 	// Worst-case conflict edges for the shard: all ≈ B²L²/(2P) expected
-	// bucket-sharing pairs become edges; COO and CSR adjacency coexist
-	// during conversion at 8 bytes each per edge end.
+	// bucket-sharing pairs become edges; during conversion the CSR
+	// adjacency (8 bytes per edge) coexists with the builder's edge staging,
+	// at most 8 bytes per edge (the device builders' COO; the host builders'
+	// row-major lanes take 4).
 	edges := int64(16) * int64(L) * int64(L) * int64(B) * int64(B) / int64(2*P)
 	total := int64(B)*(4+lists+buckets+mask+oracle+32) + edges + int64(P)*16 + 4096
 	return total * 5 / 4

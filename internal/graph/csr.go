@@ -174,9 +174,9 @@ func FromEdges(n int, edges [][2]int32) (*CSR, error) {
 func (g *CSR) sortAdjacency() {
 	// slices.Sort, not sort.Slice: this runs once per vertex on every
 	// COO→CSR conversion and the interface-based sort allocates a closure
-	// and reflect header per call. A COO sorted by (u, v) with u < v — what
-	// the conflict kernel emits — places every row already in order, so the
-	// linear IsSorted check lets those rows skip the sort.
+	// and reflect header per call. A COO sorted by (u, v) with u < v places
+	// every row already in order, so the linear IsSorted check lets such
+	// rows skip the sort.
 	for u := 0; u < g.N; u++ {
 		if nb := g.Neighbors(u); !slices.IsSorted(nb) {
 			slices.Sort(nb)

@@ -121,6 +121,43 @@ func TestRandomOracleDeterministicSymmetric(t *testing.T) {
 	}
 }
 
+func TestRandomOracleRowAndSubViewMatchHasEdge(t *testing.T) {
+	// The batched row test and the compacted sub-view must answer exactly
+	// what HasEdge answers, self pairs included, also when a view recycles
+	// a larger previous one.
+	r := RandomOracle{N: 60, P: 0.4, Seed: 17}
+	all := make([]int32, r.N)
+	for v := range all {
+		all[v] = int32(v)
+	}
+	out := make([]bool, r.N)
+	for u := 0; u < r.N; u++ {
+		r.HasEdgeRow(u, all, out)
+		for v := range all {
+			if out[v] != r.HasEdge(u, v) {
+				t.Fatalf("HasEdgeRow(%d)[%d] = %v, HasEdge says %v", u, v, out[v], !out[v])
+			}
+		}
+	}
+	var view Oracle
+	for _, ids := range [][]int32{all, {41, 3, 17, 59, 0, 8}} {
+		view = r.SubView(ids, view)
+		if view.NumVertices() != len(ids) {
+			t.Fatalf("view has %d vertices, want %d", view.NumVertices(), len(ids))
+		}
+		local := all[:len(ids)]
+		for i := range ids {
+			view.(RowOracle).HasEdgeRow(i, local, out)
+			for j := range ids {
+				want := r.HasEdge(int(ids[i]), int(ids[j]))
+				if view.HasEdge(i, j) != want || out[j] != want {
+					t.Fatalf("view pair (%d,%d) differs from parent pair (%d,%d)", i, j, ids[i], ids[j])
+				}
+			}
+		}
+	}
+}
+
 func TestRandomOracleDensity(t *testing.T) {
 	r := RandomOracle{N: 300, P: 0.5, Seed: 9}
 	m := CountEdges(r)

@@ -78,11 +78,64 @@ func (r RandomOracle) HasEdge(u, v int) bool {
 	if u == v || u < 0 || v < 0 || u >= r.N || v >= r.N {
 		return false
 	}
+	return r.pair(int32(u), int32(v))
+}
+
+// pair is HasEdge's hash test on two distinct in-range ids.
+func (r RandomOracle) pair(u, v int32) bool {
 	if u > v {
 		u, v = v, u
 	}
 	h := mix64(r.Seed ^ uint64(u)<<32 ^ uint64(v))
 	return float64(h>>11)/float64(1<<53) < r.P
+}
+
+// HasEdgeRow answers a whole candidate row (RowOracle) with HasEdge's hash,
+// without a call per pair.
+func (r RandomOracle) HasEdgeRow(u int, vs []int32, out []bool) {
+	for k, v := range vs {
+		out[k] = int(v) != u && r.pair(int32(u), v)
+	}
+}
+
+// SubView restricts the oracle to vertices over local ids (SubViewer). The
+// view copies only the id table: the edges are hashes, not storage.
+func (r RandomOracle) SubView(vertices []int32, reuse Oracle) Oracle {
+	sv, ok := reuse.(*randomSubView)
+	if !ok {
+		sv = &randomSubView{}
+	}
+	sv.r, sv.ids = r, append(sv.ids[:0], vertices...)
+	return sv
+}
+
+var (
+	_ RowOracle = RandomOracle{}
+	_ SubViewer = RandomOracle{}
+	_ RowOracle = (*randomSubView)(nil)
+)
+
+// randomSubView is a RandomOracle over the local ids of a vertex subset:
+// local pair (i, j) is the parent's pair (ids[i], ids[j]).
+type randomSubView struct {
+	r   RandomOracle
+	ids []int32
+}
+
+func (s *randomSubView) NumVertices() int { return len(s.ids) }
+
+func (s *randomSubView) HasEdge(u, v int) bool {
+	if u == v || u < 0 || v < 0 || u >= len(s.ids) || v >= len(s.ids) {
+		return false
+	}
+	return s.r.pair(s.ids[u], s.ids[v])
+}
+
+func (s *randomSubView) HasEdgeRow(u int, vs []int32, out []bool) {
+	a := s.ids[u]
+	for k, v := range vs {
+		out[k] = int(v) != u && s.r.pair(a, s.ids[v])
+	}
 }
 
 func mix64(x uint64) uint64 {

@@ -2,9 +2,17 @@
 // paper's Table IV. Measuring max-RSS is meaningless across machines and Go
 // GC configurations, so the experiment harness instead registers every
 // long-lived data structure an algorithm holds (input graph, color lists,
-// conflict COO/CSR, forbidden arrays, worklists) with a Tracker and reports
+// conflict edges, forbidden arrays, worklists) with a Tracker and reports
 // the peak of the running sum — the same quantity max-RSS approximates on
 // the paper's testbed.
+//
+// The host conflict builders keep their edges in row-major worker lanes
+// (4 B/edge) and scatter them into the CSR (8 B/edge). The lanes are charged
+// only while they are converted; the CSR is charged after that charge is
+// released. So the tracked figure is 8 B/edge at any instant, against about
+// 12 B/edge truly live, because a pooled arena retains the lanes for the
+// next build. Untracked throughout: append slack in growable buffers (lane
+// and candidate capacity beyond their length) and the per-row hit buffers.
 //
 // Beyond metering, a Tracker doubles as the engine's budget governor.
 // SetBudget arms a byte ceiling; every Alloc that pushes the running sum

@@ -309,12 +309,19 @@ func (s *Server) buildInput(job *Job) (picasso.Oracle, *picasso.PauliSet, error)
 	if set != nil {
 		return nil, set, nil
 	}
-	if g != nil && job.Spec.GraphCSR() == nil {
+	// The build caches the parsed input on the spec. It runs on a copy that
+	// is stored back under mu, because status readers copy job.Spec under mu.
+	spec := job.Spec
+	if g != nil && spec.GraphCSR() == nil {
 		// A mismatch is left for BuildInput to report: it names what is
 		// missing, while a silently wrong attach could never verify.
-		_ = job.Spec.AttachGraph(g)
+		_ = spec.AttachGraph(g)
 	}
-	return job.Spec.BuildInput()
+	oracle, set, err := spec.BuildInput()
+	s.mu.Lock()
+	job.Spec = spec
+	s.mu.Unlock()
+	return oracle, set, err
 }
 
 // colorRefine takes the parent's rebuilt input (base spec plus any appended

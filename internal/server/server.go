@@ -415,6 +415,9 @@ func (s *Server) enqueue(j *Job) (*Job, bool, error) {
 	j.Hits = 1
 	j.SubmittedAt = time.Now()
 	j.ctx, j.cancel = jobContext(j.SubmittedAt, j.Spec.DeadlineDuration())
+	// The accepted record is marshaled before the queue push: once j is
+	// queued a worker may cache the parsed input on j.Spec.
+	data, err := json.Marshal(envelope(j))
 	select {
 	case s.queue <- j:
 		s.jobs[j.ID] = j
@@ -430,7 +433,6 @@ func (s *Server) enqueue(j *Job) (*Job, bool, error) {
 	// (it fsyncs): a crash in the gap loses only a job whose 202 the client
 	// may not have seen, and replay tolerates a worker journaling "running"
 	// first, so the ordering is safe.
-	data, err := json.Marshal(envelope(j))
 	if err == nil {
 		s.journalAppend(journal.Record{ID: j.ID, Event: journal.EventAccepted, Data: data})
 	}
